@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import make_kappa_bar
+from .bundle import FiberDiscretization, make_boundary_data, make_kappa_bar
 from .extract import (baseline_smoothest_field, concentration_cdf, extract_field,
                       extract_singularities, fiber_w2, graph_area)
 from .mesh import MeshError, build_transport, load_mesh
@@ -63,23 +63,22 @@ class ConfigError(ValueError):
 def _check(config):
     if config.mode not in MODES:
         raise ConfigError("mode must be one of %s, got %r" % (", ".join(MODES), config.mode))
-    if config.lam < 0:
-        raise ConfigError("lambda must be nonnegative")
     if config.fiber_n < 8 or config.fiber_n % 2:
         raise ConfigError("N must be even and >= 8")
-    if config.radius <= 0:
-        raise ConfigError("radius must be positive")
+    try:
+        _solver_config(config, config.lam).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.epsilon <= 0:
         raise ConfigError("epsilon must be positive")
-    if config.degree < 1:
-        raise ConfigError("degree must be a positive integer")
-    if config.max_iters < 1:
-        raise ConfigError("max_iters must be a positive integer")
-    if config.mu <= 0 or config.nu <= 0:
-        raise ConfigError("penalties mu and nu must be positive")
-    if config.threads < 1:
-        raise ConfigError("threads must be a positive integer")
     return config
+
+
+def _solver_config(config, lam, mask=None):
+    return SolverConfig(
+        lam=lam, radius=config.radius, degree=config.degree,
+        fiber_n=config.fiber_n, eps=config.epsilon, max_iters=config.max_iters,
+        mu=config.mu, nu=config.nu, mask=mask, threads=config.threads)
 
 
 def validate_config(path):
@@ -104,33 +103,64 @@ def validate_config(path):
     return _check(config)
 
 
-def _read_boundary_file(path):
-    angles = {}
+def _records(path):
+    """``(path:line, fields)`` for each line that is neither blank nor a comment."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            angles[int(parts[0])] = float(parts[1])
+            if parts and not parts[0].startswith("#"):
+                yield "%s:%d" % (path, lineno), parts
+
+
+def _parse(where, parts, kinds):
+    """Convert the leading fields of one line, naming the line on failure."""
+    try:
+        if len(parts) < len(kinds):
+            raise ValueError("expected %d fields" % len(kinds))
+        values = [kind(p) for kind, p in zip(kinds, parts)]
+    except ValueError as exc:
+        raise ConfigError("%s: bad line %r: %s" % (where, " ".join(parts), exc)) from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("%s: values must be finite" % where)
+    return values
+
+
+def _check_vertex(where, v, mesh):
+    if not 0 <= v < len(mesh.vertices):
+        raise ConfigError("%s: vertex %d out of range (mesh has %d vertices)"
+                          % (where, v, len(mesh.vertices)))
+
+
+def _read_boundary_file(path, mesh):
+    angles = {}
+    for where, parts in _records(path):
+        v, angle = _parse(where, parts, (int, float))
+        _check_vertex(where, v, mesh)
+        if not mesh.is_boundary_vertex[v]:
+            raise ConfigError("%s: vertex %d is not a boundary vertex" % (where, v))
+        angles[v] = angle
     return angles
 
 
 def _read_mask_file(path, mesh):
     """Vertex lines mask every interior edge between two listed vertices;
-    two-index lines name an edge directly."""
-    verts = set()
-    edges = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) == 1:
-                verts.add(int(parts[0]))
-            else:
-                edges.append(tuple(sorted((int(parts[0]), int(parts[1])))))
+    two-index lines name an interior edge directly."""
     pair_to_edge = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-    ids = [pair_to_edge[e] for e in edges if e in pair_to_edge]
+    interior = set(mesh.interior_edges.tolist())
+    verts = set()
+    ids = []
+    for where, parts in _records(path):
+        if len(parts) == 1:
+            (v,) = _parse(where, parts, (int,))
+            _check_vertex(where, v, mesh)
+            verts.add(v)
+            continue
+        a, b = _parse(where, parts, (int, int))
+        eid = pair_to_edge.get(tuple(sorted((a, b))))
+        if eid not in interior:
+            raise ConfigError("%s: %d %d is not an interior edge of the mesh"
+                              % (where, a, b))
+        ids.append(eid)
     if verts:
         for eid in mesh.interior_edges:
             a, b = mesh.edges[eid]
@@ -141,20 +171,18 @@ def _read_mask_file(path, mesh):
 
 def _read_lambda_field(path, mesh, base):
     per_vertex = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            per_vertex[int(parts[0])] = float(parts[1])
+    for where, parts in _records(path):
+        v, value = _parse(where, parts, (int, float))
+        _check_vertex(where, v, mesh)
+        if value < 0:
+            raise ConfigError("%s: lambda must be nonnegative" % where)
+        per_vertex[v] = value
     out = np.full(len(mesh.interior_edges), base)
     for i, eid in enumerate(mesh.interior_edges):
         a, b = mesh.edges[eid]
         vals = [per_vertex[v] for v in (a, b) if v in per_vertex]
         if vals:
             out[i] = float(np.mean(vals))
-    if np.any(out < 0):
-        raise ConfigError("lambda must be nonnegative")
     return out
 
 
@@ -215,17 +243,19 @@ def run(config):
         return 1
     try:
         mesh = load_mesh(config.mesh)
-    except MeshError as exc:
+        atlas = build_transport(mesh)
+        boundary = config.boundary
+        if boundary != "tangent":
+            boundary = _read_boundary_file(boundary, mesh)
+        if config.mode == "minsec":
+            k_max = FiberDiscretization(config.fiber_n, config.radius).k_max
+            boundary = make_boundary_data(atlas, boundary, config.degree, k_max)
+    except (MeshError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
     os.makedirs(config.out, exist_ok=True)
     path = lambda name: os.path.join(config.out, name)
-    atlas = build_transport(mesh)
-
-    boundary_spec = config.boundary
-    if boundary_spec != "tangent":
-        boundary_spec = _read_boundary_file(config.boundary)
 
     if config.mode == "baseline":
         ops = OperatorSet.assemble(mesh, atlas, config.degree, config.radius, k_max=1)
@@ -257,11 +287,7 @@ def run(config):
     if config.lambda_field:
         lam = _read_lambda_field(config.lambda_field, mesh, config.lam)
     mask = _read_mask_file(config.mask, mesh) if config.mask else None
-    solver_cfg = SolverConfig(
-        lam=lam, radius=config.radius, degree=config.degree,
-        fiber_n=config.fiber_n, eps=config.epsilon, max_iters=config.max_iters,
-        mu=config.mu, nu=config.nu, mask=mask, threads=config.threads)
-    res = run_admm(mesh, solver_cfg, boundary_spec, atlas=atlas)
+    res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
     field = extract_field(res.state, res.ops)
     sing = extract_singularities(res.state.gamma, res.ops, config.degree)
 
@@ -283,6 +309,7 @@ def run(config):
     lines = ["mode minsec",
              "iterations %d" % rep.iterations,
              "converged %d" % int(rep.converged),
+             "saddle_builds %d" % rep.saddle_builds,
              "graph_area %.17g" % area,
              "kkt_residual %.6g" % rep.kkt_residual,
              "final_residuals %s" % " ".join("%.6g" % r for r in rep.residuals)]

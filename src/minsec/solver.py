@@ -2,11 +2,15 @@
 
 One iteration: per-frequency linear solves plus a frequency-zero saddle
 system (global step), pointwise shrinkage at corner samples and interior
-edges (local step), dual ascent, residuals, and adaptive penalties. All
-system matrices are factored up front; only the frequency-zero saddle
-blocks are refactored, and only when a penalty changes.
+edges (local step), dual ascent, residuals, and adaptive penalties. The
+per-frequency systems and the conforming frequency-zero block are
+factored when the solver is built. The edge-midpoint Laplacian is
+factored, and solved against the boundary rows, at the first saddle
+build; after that a penalty change refactors only one block with
+Laplacian sparsity and rebuilds the dense boundary Schur complement.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -15,8 +19,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .bundle import (TAU_BAR_VERTICAL, FiberDiscretization, make_boundary_data,
-                     make_kappa_bar)
+from .bundle import (TAU_BAR_VERTICAL, BoundaryData, FiberDiscretization,
+                     make_boundary_data, make_kappa_bar)
 from .mesh import build_transport
 from .operators import OperatorSet, quarter_turn
 
@@ -46,7 +50,10 @@ class SolverConfig:
     track_objective: bool = True
 
     def validate(self, n_interior_edges=None):
+        """Check every value; returns ``lam`` as a float array."""
         lam = np.asarray(self.lam, dtype=float)
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("lambda must be finite")
         if np.any(lam < 0):
             raise ValueError("lambda must be nonnegative")
         if lam.ndim not in (0, 1):
@@ -54,14 +61,19 @@ class SolverConfig:
         if lam.ndim == 1 and n_interior_edges is not None and len(lam) != n_interior_edges:
             raise ValueError("lambda field has %d entries; mesh has %d interior edges"
                              % (len(lam), n_interior_edges))
+        for name in ("eps", "mu", "nu", "radius"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.eps < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("penalties must be positive")
         if self.radius <= 0:
             raise ValueError("fiber radius must be positive")
-        if self.degree < 1:
-            raise ValueError("degree must be a positive integer")
+        for name in ("degree", "fiber_n", "max_iters", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
         return lam
 
 
@@ -92,6 +104,7 @@ class ConvergenceReport:
     objective_history: np.ndarray = None
     kkt_residual: float = np.nan
     timings: dict = field(default_factory=dict)
+    saddle_builds: int = 0
     warning: str = ""
 
 
@@ -168,6 +181,16 @@ class GlobalSystems:
     dense Schur complement over the boundary multiplier, with the
     conforming block gauge-fixed at one boundary vertex (its zero frequency
     is determined only up to a constant).
+
+    The edge-midpoint block ``K2 = mu*ell*Lc + nu*Lc M^-1 Lc`` (``Lc`` the
+    edge-midpoint Laplacian, ``M`` its diagonal mass) is used in the exact
+    product form ``K2 = Lc M^-1 A`` with ``A = mu*ell*M + nu*Lc``, so
+    ``K2^-1 = A^-1 M Lc^-1``. The constructor factors the per-frequency
+    systems and the conforming block and forms its boundary columns. The
+    first :meth:`refactor` factors ``Lc`` and forms the penalty-free
+    columns ``M Lc^-1 C2^T``; every build, the first included, factors
+    ``A`` and rebuilds the Schur complement. ``builds`` and
+    ``build_seconds`` count and time those builds.
     """
 
     def __init__(self, ops, fd, boundary_data, threads=1):
@@ -206,8 +229,11 @@ class GlobalSystems:
         # columns of L0_ff^{-1} C1f^T, reused in every Schur rebuild
         self._Z1 = self._lu0.solve(C1f.T.toarray())
         self._S1 = C1f @ self._Z1                       # C1 L0^{-1} C1^T
+        self._lu_lc = None
         self._mu = None
         self._nu = None
+        self.builds = 0
+        self.build_seconds = 0.0
 
     def _conforming_boundary_rows(self):
         ops = self.ops
@@ -245,13 +271,16 @@ class GlobalSystems:
         """(Re)build the frequency-zero saddle pieces for the given penalties."""
         if mu == self._mu and nu == self._nu:
             return
-        ops = self.ops
+        t0 = time.perf_counter()
         ell = self.fd.length
-        cr = ops.cr
-        K2 = (mu * ell) * cr.laplacian \
-            + nu * (cr.laplacian @ sp.diags(1.0 / cr.mass) @ cr.laplacian)
-        self._lu2 = splu(K2.tocsc())
-        self._Z2 = self._lu2.solve(self._C2.T.toarray())
+        cr = self.ops.cr
+        if self._lu_lc is None:
+            self._lu_lc = splu(cr.laplacian.tocsc())
+            # M Lc^{-1} C2^T, reused in every Schur rebuild
+            self._W2 = cr.mass[:, None] * self._lu_lc.solve(self._C2.T.toarray())
+        A = (mu * ell) * sp.diags(cr.mass) + nu * cr.laplacian
+        self._lu_a = splu(A.tocsc())
+        self._Z2 = self._lu_a.solve(self._W2)           # K2^{-1} C2^T
         S = self._S1.toarray() if sp.issparse(self._S1) else self._S1
         S = S / (mu * ell) + self._C2 @ self._Z2
         lu, piv = sla.lu_factor(S)
@@ -260,6 +289,8 @@ class GlobalSystems:
             raise RuntimeError("singular boundary coupling: incompatible boundary data")
         self._schur = (lu, piv)
         self._mu, self._nu = mu, nu
+        self.builds += 1
+        self.build_seconds += time.perf_counter() - t0
 
     def solve_frequency(self, k, rhs):
         """Solve the frequency-``k`` system with pinned boundary values."""
@@ -280,7 +311,7 @@ class GlobalSystems:
         mu_ell = self._mu * self.fd.length
         r1 = rhs1[self.free0]
         y1 = self._lu0.solve(r1) / mu_ell
-        y2 = self._lu2.solve(rhs2)
+        y2 = self._lu_a.solve(self.ops.cr.mass * self._lu_lc.solve(rhs2))
         rhs_beta = self._C1[:, self.free0] @ y1 + self._C2 @ y2 - g0
         beta = sla.lu_solve(self._schur, rhs_beta)
         f0 = np.zeros(len(self.ops.mesh.vertices))
@@ -314,8 +345,14 @@ class AdmmSolver:
         self.fd = FiberDiscretization(config.fiber_n, config.radius)
         self.ops = OperatorSet.assemble(mesh, self.atlas, config.degree,
                                         config.radius, self.fd.k_max)
-        self.bd = make_boundary_data(self.atlas, boundary_spec, config.degree,
-                                     self.fd.k_max)
+        if isinstance(boundary_spec, BoundaryData):
+            if boundary_spec.k_max != self.fd.k_max:
+                raise ValueError("boundary data has k_max %d; fiber_n %d needs %d"
+                                 % (boundary_spec.k_max, config.fiber_n, self.fd.k_max))
+            self.bd = boundary_spec
+        else:
+            self.bd = make_boundary_data(self.atlas, boundary_spec, config.degree,
+                                         self.fd.k_max)
         self.kappa_bar = make_kappa_bar(self.atlas, config.degree)
         self.systems = GlobalSystems(self.ops, self.fd, self.bd, config.threads)
         self.mask_cols = self._mask_columns(config.mask)
@@ -508,6 +545,8 @@ class AdmmSolver:
         report = ConvergenceReport(eps=cfg.eps)
         history = []
         objective = []
+        self._phase_times = dict.fromkeys(self._phase_times, 0.0)
+        builds0, build_s0 = self.systems.builds, self.systems.build_seconds
         t_start = time.perf_counter()
         converged = False
         for _ in range(cfg.max_iters):
@@ -520,6 +559,8 @@ class AdmmSolver:
                 break
         timings = dict(self._phase_times)
         timings["total"] = time.perf_counter() - t_start
+        timings["refactor"] = self.systems.build_seconds - build_s0
+        report.saddle_builds = self.systems.builds - builds0
         report.converged = converged
         report.iterations = state.iteration
         report.residuals = history[-1] if history else np.full(4, np.nan)
@@ -539,6 +580,10 @@ class AdmmSolver:
 
 def run_admm(mesh, config, boundary_spec="tangent", atlas=None):
     """Solve the relaxation on ``mesh``; returns a :class:`SolveResult`.
+
+    ``boundary_spec`` is ``"tangent"``, a ``vertex -> angle`` mapping (see
+    :func:`make_boundary_data`) or an already built :class:`BoundaryData`
+    whose ``k_max`` matches ``config.fiber_n``.
 
     Non-convergence within the iteration cap is reported in
     ``result.report.warning``, never raised; partial states remain usable

@@ -51,6 +51,27 @@ def test_validate_config_errors(tmp_path):
     bad.write_text("degree = x\n")
     with pytest.raises(ConfigError, match="bad value"):
         validate_config(str(bad))
+    for text, match in [("lambda = nan\n", "lambda must be finite"),
+                        ("radius = nan\n", "radius must be finite"),
+                        ("mu = inf\n", "mu must be finite"),
+                        ("epsilon = nan\n", "eps must be finite"),
+                        ("epsilon = 0\n", "epsilon must be positive"),
+                        ("max_iters = 0\n", "max_iters must be a positive integer"),
+                        ("degree = 2.5\n", "bad value")]:
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            validate_config(str(bad))
+    with pytest.raises(ConfigError, match="degree must be a positive integer"):
+        run(RunConfig(mesh="unused.obj", degree=2.5))
+
+
+def test_non_finite_flags_exit_code(disk_obj, tmp_path, capsys):
+    for flag, value in [("--lambda", "nan"), ("--radius", "nan"), ("--epsilon", "nan"),
+                        ("--max-iters", "0")]:
+        code = main(["--mesh", disk_obj, flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_missing_mesh_exit_code(tmp_path, capsys):
@@ -70,6 +91,9 @@ def test_minsec_end_to_end(disk_obj, tmp_path):
         assert (out / name).exists(), name
     diag = (out / "diagnostics.txt").read_text()
     assert "converged 1" in diag
+    assert "time_refactor_seconds" in diag
+    builds = [ln for ln in diag.splitlines() if ln.startswith("saddle_builds ")]
+    assert len(builds) == 1 and int(builds[0].split()[1]) >= 1
     assert "cdf" in diag and "w2" in diag and "resid" in diag
 
     # round trip: field re-read and re-expressed in the exported frames
@@ -179,3 +203,52 @@ def test_run_config_threads_env(disk_obj, tmp_path, monkeypatch):
     code = main(["--mesh", disk_obj, "--mode", "minsec", "--degree", "1",
                  "--fiber-n", "16", "--max-iters", "200", "--out", str(out)])
     assert code in (0, 2)
+
+
+def _minsec(mesh_path, out, *extra):
+    return main(["--mesh", mesh_path, "--mode", "minsec", "--degree", "1",
+                 "--fiber-n", "16", "--max-iters", "50", "--out", str(out), *extra])
+
+
+def test_incomplete_boundary_file_exit_code(disk_obj, tmp_path, capsys):
+    mesh = load_mesh(disk_obj)
+    loop = mesh.boundary_loops[0]
+    bpath = tmp_path / "angles.txt"
+    bpath.write_text("".join("%d 0.0\n" % v for v in loop[1:]))
+    assert _minsec(disk_obj, tmp_path / "o", "--boundary", str(bpath)) == 1
+    assert "boundary angles missing" in capsys.readouterr().err
+
+
+def test_boundary_file_bad_line_names_line(disk_obj, tmp_path, capsys):
+    mesh = load_mesh(disk_obj)
+    b = mesh.boundary_loops[0][0]
+    inner = int(np.nonzero(~mesh.is_boundary_vertex)[0][0])
+    bpath = tmp_path / "angles.txt"
+    for text, line in [("# angles\n%d 0.0\n%d north\n" % (b, b), 3),
+                       ("%d 0.0\n%d 0.0\n" % (b, inner), 2),
+                       ("%d 0.0\n99999 0.0\n" % b, 2)]:
+        bpath.write_text(text)
+        assert _minsec(disk_obj, tmp_path / "o", "--boundary", str(bpath)) == 1
+        assert "%s:%d:" % (bpath, line) in capsys.readouterr().err
+
+
+def test_unreferenced_vertex_exit_code(disk_obj, tmp_path, capsys):
+    path = tmp_path / "stray.obj"
+    path.write_text(open(disk_obj).read() + "v 5 5 5\n")   # referenced by no face
+    assert _minsec(str(path), tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vertex" in err
+
+
+def test_mask_pair_naming_no_edge(disk_obj, tmp_path, capsys):
+    mpath = tmp_path / "mask.txt"
+    mpath.write_text("0 99999\n")
+    assert _minsec(disk_obj, tmp_path / "o", "--mask", str(mpath)) == 1
+    assert "%s:1:" % mpath in capsys.readouterr().err
+
+
+def test_lambda_field_vertex_out_of_range(disk_obj, tmp_path, capsys):
+    lpath = tmp_path / "lam.txt"
+    lpath.write_text("0 0.5\n99999 0.5\n")
+    assert _minsec(disk_obj, tmp_path / "o", "--lambda-field", str(lpath)) == 1
+    assert "%s:2:" % lpath in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 import meshgen
 from minsec.bundle import TAU_BAR_VERTICAL, fejer_delta
+from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
 from minsec.solver import (AdmmSolver, SolverConfig, adapt_penalty, init_state,
@@ -151,6 +152,28 @@ def test_kkt_residual_every_iteration():
         assert solver.systems.kkt_residual(f0, phi, beta, rhs1, rhs2, solver._g0) <= 1e-9
 
 
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4)],
+                         ids=["disk", "annulus"])
+def test_saddle_refactor_penalty_pairs(mesh):
+    # the split edge-midpoint factors must solve the full saddle system at
+    # any penalty pair, lopsided ones included, and on several loops
+    solver = _solver(mesh, degree=4)
+    systems = solver.systems
+    rng = np.random.default_rng(3)
+    n_v, n_ie = len(mesh.vertices), len(mesh.interior_edges)
+    for mu, nu in [(1.0, 1.0), (2.0 ** 12, 2.0 ** -12), (2.0 ** -20, 1.0),
+                   (2.0 ** -3, 2.0 ** 5), (1.0, 1.0)]:
+        systems.refactor(mu, nu)
+        for _ in range(2):
+            rhs1 = rng.standard_normal(n_v)
+            rhs1 -= rhs1.mean()          # constants span the kernel of L0
+            rhs2 = rng.standard_normal(n_ie)
+            g0 = rng.standard_normal(len(solver._g0))
+            f0, phi, beta = systems.solve_zero(rhs1, rhs2, g0)
+            assert systems.kkt_residual(f0, phi, beta, rhs1, rhs2, g0) <= 1e-9
+    assert systems.builds == 5
+
+
 def test_boundary_fiber_reconstruction_is_fejer():
     # with only the pinned boundary coefficients, vertical samples at a
     # boundary corner rebuild the unit-mass Fejer spike, hence stay >= 0
@@ -247,6 +270,29 @@ def test_conservation_identity_at_convergence():
         - res.kappa_bar
     assert np.sum(gt) - np.sum(res.boundary.edge_winding) == pytest.approx(
         np.sum(res.ops.cr.mass * raw), abs=1e-9)
+
+
+def test_annulus_two_loops():
+    # two boundary loops: the saddle couples through both circulation rows
+    mesh = meshgen.annulus(8)
+    res = run_admm(mesh, SolverConfig(lam=1.0, degree=4, fiber_n=16, eps=5e-4))
+    assert res.report.converged
+    sing = extract_singularities(res.state.gamma, res.ops, 4)
+    assert sing.index_sum() == pytest.approx(mesh.euler_characteristic(), abs=0.02)
+    assert res.report.kkt_residual <= 1e-9
+
+
+def test_saddle_build_telemetry():
+    mesh = meshgen.disk(4)
+    fixed = run_admm(mesh, SolverConfig(degree=4, fiber_n=16, max_iters=30,
+                                        eps=0.0, adapt=False))
+    assert fixed.report.saddle_builds == 1
+    assert fixed.report.timings["refactor"] > 0.0
+    solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=16, max_iters=30, eps=0.0))
+    for _ in range(2):      # timings cover one run, not every run of the solver
+        rep = solver.run().report
+        assert rep.saddle_builds >= 1
+        assert rep.timings["refactor"] <= rep.timings["global"] <= rep.timings["total"]
 
 
 def test_curved_base_index_budget():
@@ -356,9 +402,19 @@ def test_penalties_stay_finite_long_run():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        SolverConfig(lam=-1.0).validate()
-    with pytest.raises(ValueError, match="radius"):
-        SolverConfig(radius=0.0).validate()
+    cases = [({"lam": -1.0}, "nonnegative"),
+             ({"radius": 0.0}, "radius"),
+             ({"lam": np.nan}, "lambda must be finite"),
+             ({"lam": np.array([1.0, np.inf])}, "lambda must be finite"),
+             ({"radius": np.nan}, "radius must be finite"),
+             ({"mu": np.inf}, "mu must be finite"),
+             ({"eps": np.nan}, "eps must be finite"),
+             ({"degree": 2.5}, "degree must be a positive integer"),
+             ({"max_iters": 0}, "max_iters must be a positive integer")]
+    for kw, match in cases:
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kw).validate()
     with pytest.raises(ValueError, match="interior edges"):
         SolverConfig(lam=np.ones(3)).validate(5)
+    # fixed-iteration runs use eps = 0
+    SolverConfig(eps=0.0).validate()
