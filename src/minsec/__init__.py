@@ -7,13 +7,11 @@ and diagnostics round the relaxed solution back to a field.
 """
 
 from .bundle import (FiberDiscretization, fejer_delta, fourier_forward,
-                     fourier_inverse, make_boundary_data, make_kappa_bar,
-                     make_tau_bar)
+                     fourier_inverse, make_boundary_data, make_kappa_bar)
 from .extract import (ExtractedField, SingularitySet, baseline_smoothest_field,
                       concentration_cdf, extract_field, extract_singularities,
                       face_angle_gradient, fiber_w2, graph_area)
-from .mesh import MeshError, TransportAtlas, TriMesh, build_transport, load_mesh, \
-    transport_power
+from .mesh import MeshError, TransportAtlas, TriMesh, build_transport, load_mesh
 from .operators import OperatorSet
 from .reduced import ReducedSolution, solve_reduced
 from .solver import BundleState, SolverConfig, SolveResult, run_admm
@@ -26,7 +24,7 @@ __all__ = [
     "extract_field", "extract_singularities", "face_angle_gradient",
     "fejer_delta", "fiber_w2", "fourier_forward", "fourier_inverse",
     "graph_area", "load_mesh", "make_boundary_data", "make_kappa_bar",
-    "make_tau_bar", "run_admm", "solve_reduced", "transport_power",
+    "run_admm", "solve_reduced",
 ]
 
 __version__ = "0.1.0"

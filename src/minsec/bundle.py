@@ -1,4 +1,4 @@
-"""Fiber sampling, vertical Fourier transforms, and boundary data on the circle bundle."""
+"""Fiber sampling, the solver's vertical Fourier transform, and circle-bundle boundary data."""
 
 from dataclasses import dataclass
 
@@ -41,19 +41,12 @@ class FiberDiscretization:
 
 
 def fourier_forward(samples, k_max):
-    """Vertical Fourier coefficients ``c_k = (1/N) sum_m x_m e^{-ik theta_m}``.
+    """Coefficients ``c_k = (1/N) sum_m x_m e^{-ik theta_m}`` for ``k = 0..k_max``.
 
-    Parameters
-    ----------
-    samples : (..., n) array_like
-        Values on the uniform fiber grid (last axis).
-    k_max : int
-        Largest retained frequency.
-
-    Returns
-    -------
-    (..., 2*k_max + 1) ndarray of complex
-        Coefficients ordered ``k = -k_max .. k_max`` (index ``k + k_max``).
+    ``samples`` holds values on the uniform fiber grid along the last axis;
+    the result replaces that axis by ``k_max + 1`` complex coefficients.
+    Real samples have ``c_{-k} = conj(c_k)``, so these one-sided
+    coefficients are the form in which the solver stores sections.
     """
     x = np.asarray(samples)
     n = x.shape[-1]
@@ -61,19 +54,22 @@ def fourier_forward(samples, k_max):
         raise ValueError("need more than 2*k_max samples, got %d for k_max=%d"
                          % (n, k_max))
     theta = 2.0 * np.pi * np.arange(n) / n
-    k = np.arange(-k_max, k_max + 1)
-    basis = np.exp(-1j * np.outer(theta, k)) / n       # (n, 2K+1)
+    k = np.arange(k_max + 1)
+    basis = np.exp(-1j * np.outer(theta, k)) / n       # (n, K+1)
     return x @ basis
 
 
 def fourier_inverse(coeffs, n):
-    """Evaluate ``x_m = sum_k c_k e^{ik theta_m}`` on the ``n``-point grid."""
+    """Real samples ``Re(c_0 + 2 sum_{k>0} c_k e^{ik theta_m})`` on the ``n``-point grid.
+
+    Inverts :func:`fourier_forward` on real signals band-limited to ``k_max``.
+    """
     c = np.asarray(coeffs)
-    k_max = (c.shape[-1] - 1) // 2
     theta = 2.0 * np.pi * np.arange(n) / n
-    k = np.arange(-k_max, k_max + 1)
-    basis = np.exp(1j * np.outer(k, theta))            # (2K+1, n)
-    return c @ basis
+    k = np.arange(c.shape[-1])
+    basis = np.exp(1j * np.outer(k, theta))            # (K+1, n)
+    basis[1:] *= 2.0
+    return (c @ basis).real
 
 
 def fejer_delta(gamma0, k_max, theta):
@@ -86,19 +82,6 @@ def fejer_delta(gamma0, k_max, theta):
     k = np.arange(1, k_max + 1)
     weights = 1.0 - k / k_max
     return 1.0 + 2.0 * np.cos(np.multiply.outer(x, k)) @ weights
-
-
-@dataclass(frozen=True)
-class ConstantCovector:
-    """A covector field with the same horizontal/vertical value everywhere."""
-
-    horizontal: tuple
-    vertical: float
-
-
-def make_tau_bar(fd):
-    """Reference covector: zero horizontal part, vertical ``1/(2*pi)``."""
-    return ConstantCovector(horizontal=(0.0, 0.0), vertical=TAU_BAR_VERTICAL)
 
 
 def make_kappa_bar(atlas, degree):

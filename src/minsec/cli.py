@@ -41,17 +41,14 @@ class RunConfig:
     boundary: str = "tangent"
     out: str = "."
     emit_current: bool = False
-    threads: int = 1
-    deterministic: bool = False
 
 
 _PARSERS = {
     "mesh": str, "mode": str, "lambda_field": str, "mask": str,
     "boundary": str, "out": str,
-    "degree": int, "fiber_n": int, "max_iters": int, "threads": int,
+    "degree": int, "fiber_n": int, "max_iters": int,
     "lam": float, "radius": float, "epsilon": float, "mu": float, "nu": float,
     "emit_current": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "deterministic": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 _KEY_ALIASES = {"lambda": "lam", "n": "fiber_n", "eps": "epsilon"}
 
@@ -63,8 +60,6 @@ class ConfigError(ValueError):
 def _check(config):
     if config.mode not in MODES:
         raise ConfigError("mode must be one of %s, got %r" % (", ".join(MODES), config.mode))
-    if config.fiber_n < 8 or config.fiber_n % 2:
-        raise ConfigError("N must be even and >= 8")
     try:
         _solver_config(config, config.lam).validate()
     except ValueError as exc:
@@ -78,7 +73,7 @@ def _solver_config(config, lam, mask=None):
     return SolverConfig(
         lam=lam, radius=config.radius, degree=config.degree,
         fiber_n=config.fiber_n, eps=config.epsilon, max_iters=config.max_iters,
-        mu=config.mu, nu=config.nu, mask=mask, threads=config.threads)
+        mu=config.mu, nu=config.nu, mask=mask)
 
 
 def validate_config(path):
@@ -233,8 +228,6 @@ def _write_diagnostics(path, lines):
 def run(config):
     """Execute one configured pipeline; returns the process exit code."""
     _check(config)
-    if config.deterministic:
-        config.threads = 1
     if not config.mesh:
         print("error: no mesh given", file=sys.stderr)
         return 1
@@ -287,7 +280,11 @@ def run(config):
     if config.lambda_field:
         lam = _read_lambda_field(config.lambda_field, mesh, config.lam)
     mask = _read_mask_file(config.mask, mesh) if config.mask else None
-    res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
+    try:
+        res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
+    except RuntimeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     field = extract_field(res.state, res.ops)
     sing = extract_singularities(res.state.gamma, res.ops, config.degree)
 
@@ -346,9 +343,6 @@ def build_parser():
     p.add_argument("--out", help="output directory")
     p.add_argument("--emit-current", dest="emit_current", action="store_true",
                    default=None, help="write per-corner fiber densities")
-    p.add_argument("--threads", type=int, help="parallel width of the global step")
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="force single-threaded execution")
     return p
 
 
@@ -360,9 +354,6 @@ def main(argv=None):
             value = getattr(args, f.name, None)
             if value is not None:
                 setattr(config, f.name, value)
-        if args.threads is None and "MINSEC_THREADS" in os.environ:
-            config.threads = int(os.environ["MINSEC_THREADS"])
-        _check(config)
         return run(config)
     except (ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

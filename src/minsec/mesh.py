@@ -342,17 +342,3 @@ def build_transport(mesh, frame_rotation=None):
     coeff /= np.abs(coeff)
     return TransportAtlas(mesh, vertex_frame, face_frame, coeff.reshape(len(t), 3))
 
-
-def transport_power(atlas, vertex, face, k, degree):
-    """Frequency-``k`` degree-``degree`` transport entry: the unit coefficient raised to ``-k*degree``.
-
-    Raises
-    ------
-    MeshError
-        If ``vertex`` is not incident on ``face``.
-    """
-    tri = atlas.mesh.triangles[face]
-    where = np.nonzero(tri == vertex)[0]
-    if len(where) == 0:
-        raise MeshError("vertex %d is not incident on face %d" % (vertex, face))
-    return atlas.transport[face, where[0]] ** (-k * degree)

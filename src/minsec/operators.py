@@ -1,12 +1,13 @@
 """Sparse discrete operators for a fixed mesh, degree, and frequency range.
 
-Everything here is assembled once per (mesh, degree, radius, frequency
-range) and reused across solver iterations; only right-hand sides change.
+Element blocks are assembled once per (mesh, degree, radius) and reused
+across solver iterations. Vertex systems are assembled on request and
+not cached: the solver builds and factors each one once.
 Per-face quantities are kept as dense blocks (the mesh is unstructured but
 each block is tiny), and the vertex/edge systems are scipy sparse.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,30 +53,6 @@ def assemble_linear_fem(mesh, atlas):
     mass = area[:, None, None] * mass
     return FemBlocks(hat_gradient=grad, corner_mass=mass, face_area=area,
                      corner_vertex=mesh.triangles)
-
-
-def corner_vertex_incidence(mesh):
-    """0/1 incidence from vertices to triangle corners, one 1 per row."""
-    n_f = len(mesh.triangles)
-    rows = np.arange(3 * n_f)
-    cols = mesh.triangles.ravel()
-    return sp.csr_matrix((np.ones(3 * n_f), (rows, cols)),
-                         shape=(3 * n_f, len(mesh.vertices)))
-
-
-def covariant_incidence(atlas, k, degree):
-    """Corner-vertex incidence with unit transport entries at frequency ``k``.
-
-    Entry for corner j of face T is the transport coefficient raised to
-    ``-k*degree`` (vertical Fourier components move against the base
-    orientation). ``k = 0`` reduces to the real 0/1 incidence.
-    """
-    mesh = atlas.mesh
-    n_f = len(mesh.triangles)
-    data = (atlas.transport ** (-k * degree)).ravel()
-    rows = np.arange(3 * n_f)
-    cols = mesh.triangles.ravel()
-    return sp.csr_matrix((data, (rows, cols)), shape=(3 * n_f, len(mesh.vertices)))
 
 
 def _element_scatter(fem, elem, coeff):
@@ -183,18 +160,9 @@ class BoundaryRows:
 
     face: np.ndarray              # (n_be,)
     edge_vec: np.ndarray          # (n_be, 2) in face frame
-    vertices: np.ndarray          # (n_be, 2) directed (v, w)
 
     def circulation(self, face_field):
         return np.einsum("bd,bd->b", face_field[self.face], self.edge_vec)
-
-    def matrix(self, n_f):
-        """Sparse form (n_be x 2 n_f) for residual checks."""
-        n_be = len(self.face)
-        rows = np.repeat(np.arange(n_be), 2)
-        cols = np.stack([2 * self.face, 2 * self.face + 1], axis=1).ravel()
-        return sp.csr_matrix((self.edge_vec.ravel(), (rows, cols)),
-                             shape=(n_be, 2 * n_f))
 
 
 def assemble_boundary_rows(mesh, atlas):
@@ -203,7 +171,7 @@ def assemble_boundary_rows(mesh, atlas):
     vw = np.array([(v, w) for v, w, _, _ in halfedges], dtype=np.int64)
     vec3 = mesh.vertices[vw[:, 1]] - mesh.vertices[vw[:, 0]]
     edge_vec = np.einsum("bij,bj->bi", atlas.face_frame[face], vec3)
-    return BoundaryRows(face=face, edge_vec=edge_vec, vertices=vw)
+    return BoundaryRows(face=face, edge_vec=edge_vec)
 
 
 @dataclass
@@ -219,21 +187,14 @@ class OperatorSet:
     cr: CrBlocks = None
     boundary: BoundaryRows = None
     transport_d: np.ndarray = None        # (n_f, 3) degree-d transport coefficients
-    _lap: dict = field(default_factory=dict)
-    _stiff: dict = field(default_factory=dict)
-    _vmass: dict = field(default_factory=dict)
 
     @classmethod
     def assemble(cls, mesh, atlas, degree, radius, k_max):
-        if radius <= 0:
-            raise ValueError("fiber radius must be positive")
         ops = cls(mesh=mesh, atlas=atlas, degree=degree, radius=radius, k_max=k_max)
         ops.fem = assemble_linear_fem(mesh, atlas)
         ops.cr = assemble_crouzeix_raviart(mesh, ops.fem)
         ops.boundary = assemble_boundary_rows(mesh, atlas)
         ops.transport_d = atlas.transport ** degree
-        for k in range(k_max + 1):
-            ops.laplacian(k)
         return ops
 
     def transport_k(self, k):
@@ -241,42 +202,20 @@ class OperatorSet:
         return self.transport_d ** (-k)
 
     def stiffness(self, k):
-        if k not in self._stiff:
-            self._stiff[k] = assemble_stiffness(self.fem, self.transport_k(k)).tocsc()
-        return self._stiff[k]
+        return assemble_stiffness(self.fem, self.transport_k(k))
 
     def vertex_mass(self, k):
-        if k not in self._vmass:
-            self._vmass[k] = assemble_vertex_mass(self.fem, self.transport_k(k)).tocsc()
-        return self._vmass[k]
+        return assemble_vertex_mass(self.fem, self.transport_k(k))
 
     def laplacian(self, k):
-        if k not in self._lap:
-            L = self.stiffness(k)
-            if k != 0:
-                L = L + (k * k / (self.radius * self.radius)) * self.vertex_mass(k)
-            self._lap[k] = L.tocsc()
-        return self._lap[k]
+        return assemble_frequency_laplacian(self.fem, self.transport_k(k), k, self.radius)
 
     # -- per-face helpers used every iteration ---------------------------
 
-    def corner_average(self, corner_values):
-        """Average the three corner samples of each face (values axis 1)."""
-        return corner_values.mean(axis=1)
-
-    def face_gradient(self, coeff_corner):
-        """Per-face gradient 2-vector of corner coefficients (complex ok)."""
-        return np.einsum("fdj,fj->fd", self.fem.hat_gradient, coeff_corner)
-
-    def cr_face_values(self, phi):
-        """Gather interior-edge values to the (face, local edge) table, 0 on boundary."""
+    def cr_face_gradient(self, phi):
+        """Per-face constant gradient of an interior-edge function (0 on boundary edges)."""
         cols = self.cr.face_edge_col
         vals = np.where(cols >= 0, phi[np.maximum(cols, 0)], 0.0)
-        return vals
-
-    def cr_face_gradient(self, phi):
-        """Per-face constant gradient of an interior-edge function."""
-        vals = self.cr_face_values(phi)
         return np.einsum("fdj,fj->fd", -2.0 * self.fem.hat_gradient, vals)
 
     def scatter_corners(self, corner_values, k):

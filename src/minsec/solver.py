@@ -2,7 +2,9 @@
 
 One iteration: per-frequency linear solves plus a frequency-zero saddle
 system (global step), pointwise shrinkage at corner samples and interior
-edges (local step), dual ascent, residuals, and adaptive penalties. The
+edges (local step), dual ascent, residuals, and adaptive penalties.
+Corner samples and the one-sided vertical coefficients meet only through
+:func:`bundle.fourier_forward` and :func:`bundle.fourier_inverse`. The
 per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built. The edge-midpoint Laplacian is
 factored, and solved against the boundary rows, at the first saddle
@@ -20,7 +22,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bundle import (TAU_BAR_VERTICAL, BoundaryData, FiberDiscretization,
-                     make_boundary_data, make_kappa_bar)
+                     fourier_forward, fourier_inverse, make_boundary_data,
+                     make_kappa_bar)
 from .mesh import build_transport
 from .operators import OperatorSet, quarter_turn
 
@@ -46,7 +49,6 @@ class SolverConfig:
     adapt_ratio: float = 10.0
     adapt_factor: float = 2.0
     mask: object = None
-    threads: int = 1
     track_objective: bool = True
 
     def validate(self, n_interior_edges=None):
@@ -70,10 +72,12 @@ class SolverConfig:
             raise ValueError("penalties must be positive")
         if self.radius <= 0:
             raise ValueError("fiber radius must be positive")
-        for name in ("degree", "fiber_n", "max_iters", "threads"):
+        for name in ("degree", "fiber_n", "max_iters"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))
+        if self.fiber_n < 8 or self.fiber_n % 2:
+            raise ValueError("N must be even and >= 8, got %d" % self.fiber_n)
         return lam
 
 
@@ -193,11 +197,10 @@ class GlobalSystems:
     ``build_seconds`` count and time those builds.
     """
 
-    def __init__(self, ops, fd, boundary_data, threads=1):
+    def __init__(self, ops, fd, boundary_data):
         self.ops = ops
         self.fd = fd
         self.bd = boundary_data
-        self.threads = threads
         mesh = ops.mesh
         n_v = len(mesh.vertices)
 
@@ -281,8 +284,7 @@ class GlobalSystems:
         A = (mu * ell) * sp.diags(cr.mass) + nu * cr.laplacian
         self._lu_a = splu(A.tocsc())
         self._Z2 = self._lu_a.solve(self._W2)           # K2^{-1} C2^T
-        S = self._S1.toarray() if sp.issparse(self._S1) else self._S1
-        S = S / (mu * ell) + self._C2 @ self._Z2
+        S = self._S1 / (mu * ell) + self._C2 @ self._Z2
         lu, piv = sla.lu_factor(S)
         diag = np.abs(np.diag(lu))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
@@ -322,8 +324,7 @@ class GlobalSystems:
     def kkt_residual(self, f0, phi, beta, rhs1, rhs2, g0):
         """Relative residual of the full three-block saddle system."""
         mu_ell = self._mu * self.fd.length
-        ops = self.ops
-        cr = ops.cr
+        cr = self.ops.cr
         K2phi = (mu_ell * (cr.laplacian @ phi)
                  + self._nu * (cr.laplacian @ ((cr.laplacian @ phi) / cr.mass)))
         r1 = mu_ell * (self._L0 @ f0) + self._C1.T @ beta - rhs1
@@ -354,18 +355,10 @@ class AdmmSolver:
             self.bd = make_boundary_data(self.atlas, boundary_spec, config.degree,
                                          self.fd.k_max)
         self.kappa_bar = make_kappa_bar(self.atlas, config.degree)
-        self.systems = GlobalSystems(self.ops, self.fd, self.bd, config.threads)
+        self.systems = GlobalSystems(self.ops, self.fd, self.bd)
         self.mask_cols = self._mask_columns(config.mask)
         self._phase_times = {"global": 0.0, "local": 0.0, "dual": 0.0,
                              "residual": 0.0}
-
-        # transform matrices between increment samples and frequencies 0..K
-        theta = self.fd.theta
-        k = np.arange(self.fd.k_max + 1)
-        self._fwd = np.exp(-1j * np.outer(theta, k)) / self.fd.n    # (N, K+1)
-        inv = np.exp(1j * np.outer(k, theta))                       # (K+1, N)
-        inv[1:] *= 2.0
-        self._inv = inv
 
         ks = np.arange(self.fd.k_max + 1)
         self._t_stack = self.ops.transport_d[None, :, :] ** (-ks[:, None, None])
@@ -398,8 +391,8 @@ class AdmmSolver:
 
         alpha_h = state.sigma_h + state.w_h
         alpha_v = state.sigma_v + state.w_v - TAU_BAR_VERTICAL
-        Ch = alpha_h @ self._fwd                                 # (n_c, 2, K+1)
-        Cv = alpha_v @ self._fwd                                 # (n_c, K+1)
+        Ch = fourier_forward(alpha_h, fd.k_max)                  # (n_c, 2, K+1)
+        Cv = fourier_forward(alpha_v, fd.k_max)                  # (n_c, K+1)
 
         grad = ops.fem.hat_gradient
         area = ops.fem.face_area
@@ -412,22 +405,12 @@ class AdmmSolver:
         idx = ops.fem.corner_vertex.ravel()
         n_v = len(self.mesh.vertices)
 
-        def solve_one(k):
+        for k in range(1, fd.k_max + 1):
             vals = (self._t_conj[k].ravel()
                     * (gc_all[:, :, k] - (1j * k / r2) * mc_all[:, :, k]).ravel())
             rhs = np.bincount(idx, weights=vals.real, minlength=n_v).astype(complex)
             rhs += 1j * np.bincount(idx, weights=vals.imag, minlength=n_v)
-            return self.systems.solve_frequency(k, rhs)
-
-        ks = range(1, fd.k_max + 1)
-        if self.config.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-                for k, fk in zip(ks, pool.map(solve_one, ks)):
-                    state.f[k] = fk
-        else:
-            for k in ks:
-                state.f[k] = solve_one(k)
+            state.f[k] = self.systems.solve_frequency(k, rhs)
 
         # frequency zero: conforming + edge-midpoint blocks meet at the boundary
         mu_ell = state.mu * fd.length
@@ -463,8 +446,8 @@ class AdmmSolver:
         CH[:, :, 0] += quarter_turn(ops.cr_face_gradient(state.phi))
         CV[:, :, 0] += TAU_BAR_VERTICAL
 
-        Rh_face = (CH @ self._inv).real                          # (n_f, 2, N)
-        Rv = (CV @ self._inv).real                               # (n_f, 3, N)
+        Rh_face = fourier_inverse(CH, fd.n)                      # (n_f, 2, N)
+        Rv = fourier_inverse(CV, fd.n)                           # (n_f, 3, N)
         Rh = np.repeat(Rh_face, 3, axis=0)                       # (n_c, 2, N)
         return Rh, Rv.reshape(3 * n_f, fd.n)
 

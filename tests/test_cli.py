@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -57,7 +55,9 @@ def test_validate_config_errors(tmp_path):
                         ("epsilon = nan\n", "eps must be finite"),
                         ("epsilon = 0\n", "epsilon must be positive"),
                         ("max_iters = 0\n", "max_iters must be a positive integer"),
-                        ("degree = 2.5\n", "bad value")]:
+                        ("degree = 2.5\n", "bad value"),
+                        ("threads = 2\n", "unknown key 'threads'"),
+                        ("deterministic = true\n", "unknown key 'deterministic'")]:
         bad.write_text(text)
         with pytest.raises(ConfigError, match=match):
             validate_config(str(bad))
@@ -154,8 +154,7 @@ def test_config_file_plus_flag_override(disk_obj, tmp_path):
 
 def test_deterministic_outputs_identical(disk_obj, tmp_path):
     args = ["--mesh", disk_obj, "--mode", "minsec", "--degree", "2",
-            "--fiber-n", "16", "--max-iters", "60", "--epsilon", "1e-9",
-            "--deterministic"]
+            "--fiber-n", "16", "--max-iters", "60", "--epsilon", "1e-9"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 2
     assert main(args + ["--out", str(out2)]) == 2
@@ -198,11 +197,21 @@ def test_boundary_angle_file(disk_obj, tmp_path):
 
 
 def test_run_config_threads_env(disk_obj, tmp_path, monkeypatch):
-    monkeypatch.setenv("MINSEC_THREADS", "2")
+    # the variable is not read, so a value that is not a number is harmless
+    monkeypatch.setenv("MINSEC_THREADS", "abc")
     out = tmp_path / "env"
     code = main(["--mesh", disk_obj, "--mode", "minsec", "--degree", "1",
                  "--fiber-n", "16", "--max-iters", "200", "--out", str(out)])
     assert code in (0, 2)
+
+
+def test_singular_boundary_coupling_exit_code(disk_obj, tmp_path, capsys):
+    code = main(["--mesh", disk_obj, "--degree", "4", "--fiber-n", "16",
+                 "--lambda", "1e20", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "singular boundary coupling" in err
 
 
 def _minsec(mesh_path, out, *extra):

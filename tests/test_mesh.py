@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import meshgen
-from minsec.mesh import MeshError, TriMesh, build_transport, load_mesh, transport_power
+from minsec.mesh import MeshError, TriMesh, build_transport, load_mesh
+from minsec.operators import OperatorSet
 
 
 def test_single_triangle_load(tmp_path):
@@ -176,17 +177,20 @@ def test_edge_curvature_between_endpoints():
     assert np.all(atlas.edge_curvature <= hi + 1e-15)
 
 
+def _transport_power(atlas, k, degree):
+    """Frequency-k entry of face 0, corner 0, as the solver's operators form it."""
+    ops = OperatorSet.assemble(atlas.mesh, atlas, degree=degree, radius=1.0, k_max=k)
+    return ops.transport_k(k)[0, 0]
+
+
 def test_transport_power_values():
+    # the entry is the unit transport coefficient raised to -k*degree
     mesh = meshgen.fan_disk(6)
     atlas = build_transport(mesh)
     atlas.transport = atlas.transport.astype(complex)
     atlas.transport[0, 0] = 1j
-    assert transport_power(atlas, mesh.triangles[0, 0], 0, k=1, degree=1) == pytest.approx(-1j)
+    assert _transport_power(atlas, k=1, degree=1) == pytest.approx(-1j)
     atlas.transport[0, 0] = np.exp(1j * np.pi / 6)
-    val = transport_power(atlas, mesh.triangles[0, 0], 0, k=2, degree=4)
-    assert val == pytest.approx(np.exp(-1j * 8 * np.pi / 6))
+    assert _transport_power(atlas, k=2, degree=4) == pytest.approx(np.exp(-1j * 8 * np.pi / 6))
     atlas.transport[0, 0] = 1.0
-    assert transport_power(atlas, mesh.triangles[0, 0], 0, k=5, degree=2) == pytest.approx(1.0)
-    with pytest.raises(MeshError, match="not incident"):
-        far_vertex = mesh.boundary_loops[0][3]
-        transport_power(atlas, far_vertex, 0, 1, 1)
+    assert _transport_power(atlas, k=5, degree=2) == pytest.approx(1.0)
