@@ -9,6 +9,22 @@ import numpy as np
 TAU_BAR_VERTICAL = 1.0 / (2.0 * np.pi)
 
 
+def check_fiber(radius, n=None):
+    """Reject an increment count ``n`` that is odd or below 8, and a radius
+    whose square is not a finite, positive, normal float."""
+    if n is not None and (n < 8 or n % 2):
+        raise ValueError("N must be even and >= 8, got %d" % n)
+    if not np.isfinite(radius):
+        raise ValueError("radius must be finite")
+    if radius <= 0:
+        raise ValueError("fiber radius must be positive")
+    with np.errstate(over="ignore", under="ignore"):
+        r2 = np.square(np.float64(radius))
+    if not np.isfinite(r2) or r2 < np.finfo(np.float64).tiny:
+        raise ValueError("fiber radius %g is out of range: radius**2 must be a "
+                         "finite normal float" % radius)
+
+
 @dataclass(frozen=True)
 class FiberDiscretization:
     """Uniform sampling of the circle fiber.
@@ -22,10 +38,7 @@ class FiberDiscretization:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2:
-            raise ValueError("fiber increment count must be even and >= 8, got %d" % self.n)
-        if self.radius <= 0:
-            raise ValueError("fiber radius must be positive")
+        check_fiber(self.radius, self.n)
 
     @property
     def k_max(self):

@@ -19,7 +19,7 @@ from .extract import (baseline_smoothest_field, concentration_cdf, extract_field
 from .mesh import MeshError, build_transport, load_mesh
 from .operators import OperatorSet
 from .reduced import solve_reduced
-from .solver import SolverConfig, run_admm
+from .solver import SolverConfig, run_admm, sample_density
 
 MODES = ("minsec", "reduced", "baseline")
 
@@ -43,13 +43,11 @@ class RunConfig:
     emit_current: bool = False
 
 
-_PARSERS = {
-    "mesh": str, "mode": str, "lambda_field": str, "mask": str,
-    "boundary": str, "out": str,
-    "degree": int, "fiber_n": int, "max_iters": int,
-    "lam": float, "radius": float, "epsilon": float, "mu": float, "nu": float,
-    "emit_current": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def _parse_bool(text):
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+_PARSERS = {f.name: _parse_bool if f.type is bool else f.type for f in fields(RunConfig)}
 _KEY_ALIASES = {"lambda": "lam", "n": "fiber_n", "eps": "epsilon"}
 
 
@@ -79,7 +77,6 @@ def _solver_config(config, lam, mask=None):
 def validate_config(path):
     """Parse a flat ``key = value`` config file into a validated RunConfig."""
     config = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
@@ -89,7 +86,7 @@ def validate_config(path):
                 raise ConfigError("%s:%d: expected key = value" % (path, lineno))
             key, value = (s.strip() for s in body.split("=", 1))
             key = _KEY_ALIASES.get(key.lower(), key.lower())
-            if key not in known:
+            if key not in _PARSERS:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
             try:
                 setattr(config, key, _PARSERS[key](value))
@@ -209,10 +206,8 @@ def _write_gamma(path, mesh, gamma):
             fh.write("%d %d %d %.17g\n" % (eid, a, b, gamma[col]))
 
 
-def _write_current(path, state, ops, fd):
-    r2 = ops.radius ** 2
-    dens = np.sqrt(np.einsum("cdm,cdm->cm", state.sigma_h, state.sigma_h)
-                   + state.sigma_v ** 2 / r2)
+def _write_current(path, state, ops):
+    dens = sample_density(state, ops.radius)
     with open(path, "w") as fh:
         for c in range(dens.shape[0]):
             face, corner = divmod(c, 3)
@@ -293,7 +288,7 @@ def run(config):
     _write_singularities(path("singularities.txt"), sing)
     _write_gamma(path("gamma.txt"), mesh, res.state.gamma)
     if config.emit_current:
-        _write_current(path("current.txt"), res.state, res.ops, res.fd)
+        _write_current(path("current.txt"), res.state, res.ops)
 
     thetas = np.pi * np.arange(33) / 32
     cdf = concentration_cdf(res.state, field, res.ops, res.fd, thetas)

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .solver import sample_density
+
 
 @dataclass
 class ExtractedField:
@@ -54,9 +56,6 @@ class SingularitySet:
     clusters: list
     residual_mass: float       # density mass outside all clusters
     total_mass: float
-
-    def indices(self):
-        return np.array([c.index for c in self.clusters])
 
     def index_sum(self):
         return float(sum(c.index for c in self.clusters))
@@ -137,15 +136,16 @@ def _corner_targets(extracted, ops):
     return extracted.angle[tri] + np.angle(ops.transport_d)
 
 
-def _sample_density(state, ops):
-    r2 = ops.radius ** 2
-    return np.sqrt(np.einsum("cdm,cdm->cm", state.sigma_h, state.sigma_h)
-                   + state.sigma_v ** 2 / r2)
-
-
-def _circle_distance(a, b):
-    d = np.abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
-    return d
+def _fiber_mass(state, extracted, ops, fd):
+    """``(mass, dist, vertex, total)``: area-weighted sample densities, their
+    arc distance to the corner's field angle, each corner's vertex and the
+    total mass per vertex."""
+    mass = sample_density(state, ops.radius) * ops.fem.corner_weight.ravel()[:, None]
+    target = _corner_targets(extracted, ops).ravel()
+    dist = np.abs(np.mod(fd.theta[None, :] - target[:, None] + np.pi, 2 * np.pi) - np.pi)
+    idx = ops.mesh.triangles.ravel()
+    total = np.bincount(idx, weights=mass.sum(axis=1), minlength=len(ops.mesh.vertices))
+    return mass, dist, idx, total
 
 
 def concentration_cdf(state, extracted, ops, fd, thetas=None):
@@ -157,18 +157,12 @@ def concentration_cdf(state, extracted, ops, fd, thetas=None):
     if thetas is None:
         thetas = np.pi * np.arange(33) / 32
     thetas = np.asarray(thetas)
-    mesh = ops.mesh
-    dens = _sample_density(state, ops) * ops.fem.corner_weight.ravel()[:, None]
-    target = _corner_targets(extracted, ops).ravel()
-    dist = _circle_distance(fd.theta[None, :], target[:, None])    # (n_c, n_inc)
-
-    n_v = len(mesh.vertices)
-    idx = mesh.triangles.ravel()
-    total = np.bincount(idx, weights=dens.sum(axis=1), minlength=n_v)
+    dens, dist, idx, total = _fiber_mass(state, extracted, ops, fd)
+    n_v = len(total)
     if not np.any(total > 0):
         raise ValueError("current carries no mass")
     ok = total > 0
-    weight = np.where(ok, mesh.vertex_area, 0.0)
+    weight = np.where(ok, ops.mesh.vertex_area, 0.0)
     out = np.empty(len(thetas))
     for i, th in enumerate(thetas):
         within = np.bincount(idx, weights=(dens * (dist <= th)).sum(axis=1),
@@ -184,14 +178,9 @@ def fiber_w2(state, extracted, ops, fd):
     The target is a point mass, so the distance is the square root of the
     arc-distance second moment; vertices without fiber mass return NaN.
     """
-    mesh = ops.mesh
-    dens = _sample_density(state, ops) * ops.fem.corner_weight.ravel()[:, None]
-    target = _corner_targets(extracted, ops).ravel()
-    dist2 = _circle_distance(fd.theta[None, :], target[:, None]) ** 2
-    n_v = len(mesh.vertices)
-    idx = mesh.triangles.ravel()
-    total = np.bincount(idx, weights=dens.sum(axis=1), minlength=n_v)
-    second = np.bincount(idx, weights=(dens * dist2).sum(axis=1), minlength=n_v)
+    dens, dist, idx, total = _fiber_mass(state, extracted, ops, fd)
+    n_v = len(total)
+    second = np.bincount(idx, weights=(dens * dist ** 2).sum(axis=1), minlength=n_v)
     out = np.full(n_v, np.nan)
     ok = total > 0
     out[ok] = np.sqrt(second[ok] / total[ok])

@@ -246,8 +246,7 @@ class TransportAtlas:
         angle_sum = np.zeros(len(mesh.vertices))
         np.add.at(angle_sum, mesh.triangles.ravel(), mesh.corner_angle.ravel())
         reference = np.where(mesh.is_boundary_vertex, np.pi, 2.0 * np.pi)
-        self.vertex_defect = reference - angle_sum
-        self.vertex_curvature = self.vertex_defect / mesh.vertex_area
+        self.vertex_curvature = (reference - angle_sum) / mesh.vertex_area
         kv = self.vertex_curvature
         self.edge_curvature = 0.5 * (kv[mesh.edges[:, 0]] + kv[mesh.edges[:, 1]])
 

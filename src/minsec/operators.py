@@ -5,6 +5,12 @@ across solver iterations. Vertex systems are assembled on request and
 not cached: the solver builds and factors each one once.
 Per-face quantities are kept as dense blocks (the mesh is unstructured but
 each block is tiny), and the vertex/edge systems are scipy sparse.
+
+This is the only implementation of the operators the solvers couple:
+:func:`gradient_matrix` builds the conforming and the edge-midpoint
+per-face gradients, :func:`assemble_boundary_rows` the boundary
+circulation matrix, and ``OperatorSet.transport_pow`` holds the
+transport powers that every frequency-``k`` operator reads.
 """
 
 from dataclasses import dataclass
@@ -12,10 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .bundle import check_fiber
+
 
 def quarter_turn(v):
     """Rotate 2-vectors (last axis) by +90 degrees in their face frame."""
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def gradient_matrix(corner_col, corner_grad, n_cols):
+    """Sparse ``(2 n_f, n_cols)`` map from column values to per-face gradients.
+
+    Row ``2*f + d`` sums ``corner_grad[f, d, j]`` times the value in column
+    ``corner_col[f, j]`` over the corners ``j``; a column of -1 drops the corner.
+    """
+    f, j = np.nonzero(corner_col >= 0)
+    rows = (2 * f[:, None] + np.arange(2)).ravel()
+    cols = np.repeat(corner_col[f, j], 2)
+    vals = corner_grad[f, :, j].ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * len(corner_col), n_cols))
 
 
 @dataclass
@@ -24,13 +45,15 @@ class FemBlocks:
 
     hat_gradient[f, :, j] is the constant gradient of the hat function of
     corner j; corner_mass[f] is the exact 3x3 triangle mass block
-    (area/6 diagonal, area/12 off-diagonal).
+    (area/6 diagonal, area/12 off-diagonal); ``gradient`` maps vertex
+    values to per-face gradients (see :func:`gradient_matrix`).
     """
 
     hat_gradient: np.ndarray      # (n_f, 2, 3)
     corner_mass: np.ndarray       # (n_f, 3, 3)
     face_area: np.ndarray         # (n_f,)
     corner_vertex: np.ndarray     # (n_f, 3)
+    gradient: sp.csr_matrix       # (2 n_f, n_v)
 
     @property
     def corner_weight(self):
@@ -52,7 +75,8 @@ def assemble_linear_fem(mesh, atlas):
     mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
     mass = area[:, None, None] * mass
     return FemBlocks(hat_gradient=grad, corner_mass=mass, face_area=area,
-                     corner_vertex=mesh.triangles)
+                     corner_vertex=mesh.triangles,
+                     gradient=gradient_matrix(mesh.triangles, grad, len(mesh.vertices)))
 
 
 def _element_scatter(fem, elem, coeff):
@@ -88,8 +112,7 @@ def assemble_frequency_laplacian(fem, coeff_k, k, radius):
     ``coeff_k`` holds the per-corner transport entries for this frequency.
     Positive semidefinite at ``k = 0`` and positive definite otherwise.
     """
-    if radius <= 0:
-        raise ValueError("fiber radius must be positive")
+    check_fiber(radius)
     L = assemble_stiffness(fem, coeff_k)
     if k != 0:
         L = L + (k * k / (radius * radius)) * assemble_vertex_mass(fem, coeff_k)
@@ -109,10 +132,21 @@ class CrBlocks:
 
     edge_col: np.ndarray          # (n_e,)
     interior_edges: np.ndarray    # (n_ie,) global edge ids
-    face_edge_col: np.ndarray     # (n_f, 3) column of edge opposite corner j, -1 if boundary
     gradient: sp.csr_matrix       # (2 n_f, n_ie)
     mass: np.ndarray              # (n_ie,) diagonal
     laplacian: sp.csc_matrix      # (n_ie, n_ie) symmetric PSD
+
+    def shifted_laplacian(self, a, nu):
+        """``a*M + nu*L``, the penalty factor of the edge-midpoint block."""
+        return (a * sp.diags(self.mass) + nu * self.laplacian).tocsc()
+
+    def mask_columns(self, edge_ids):
+        """Interior-edge columns of the global edge ids ``edge_ids``."""
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        cols = self.edge_col[edge_ids]
+        if np.any(cols < 0):
+            raise ValueError("masked edge %d is not an interior edge" % edge_ids[cols < 0][0])
+        return cols
 
 
 def assemble_crouzeix_raviart(mesh, fem):
@@ -120,58 +154,33 @@ def assemble_crouzeix_raviart(mesh, fem):
     n_ie = len(mesh.interior_edges)
     if n_ie == 0:
         raise ValueError("mesh has no interior edges")
-    n_f = len(mesh.triangles)
     edge_col = np.full(len(mesh.edges), -1, dtype=np.int64)
     edge_col[mesh.interior_edges] = np.arange(n_ie)
-    face_edge_col = edge_col[mesh.face_edge]
-
-    rows, cols, vals = [], [], []
-    for j in range(3):
-        keep = face_edge_col[:, j] >= 0
-        f = np.nonzero(keep)[0]
-        for d in range(2):
-            rows.append(2 * f + d)
-            cols.append(face_edge_col[f, j])
-            vals.append(-2.0 * fem.hat_gradient[f, d, j])
-    gradient = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n_f, n_ie))
-
-    mass = np.zeros(n_ie)
-    for j in range(3):
-        keep = face_edge_col[:, j] >= 0
-        np.add.at(mass, face_edge_col[keep, j], fem.face_area[keep] / 3.0)
-
+    gradient = gradient_matrix(edge_col[mesh.face_edge], -2.0 * fem.hat_gradient, n_ie)
+    mass = (fem.face_area[mesh.edge_faces[mesh.interior_edges]] / 3.0).sum(axis=1)
     area2 = sp.diags(np.repeat(fem.face_area, 2))
     laplacian = (gradient.T @ area2 @ gradient).tocsc()
     return CrBlocks(edge_col=edge_col, interior_edges=mesh.interior_edges.copy(),
-                    face_edge_col=face_edge_col, gradient=gradient, mass=mass,
-                    laplacian=laplacian)
-
-
-@dataclass
-class BoundaryRows:
-    """Tangential line-integral rows along the oriented boundary.
-
-    Applying :meth:`circulation` to a per-face 2-vector field integrates it
-    along each boundary edge (surface on the left). Row order matches
-    ``TriMesh.boundary_halfedges()``.
-    """
-
-    face: np.ndarray              # (n_be,)
-    edge_vec: np.ndarray          # (n_be, 2) in face frame
-
-    def circulation(self, face_field):
-        return np.einsum("bd,bd->b", face_field[self.face], self.edge_vec)
+                    gradient=gradient, mass=mass, laplacian=laplacian)
 
 
 def assemble_boundary_rows(mesh, atlas):
+    """Sparse ``(n_be, 2 n_f)`` boundary circulation matrix.
+
+    Applied to a per-face 2-vector field (raveled ``(n_f, 2)``), it
+    integrates the field along each boundary edge (surface on the left).
+    Row order matches ``TriMesh.boundary_halfedges()``.
+    """
     halfedges = mesh.boundary_halfedges()
     face = np.array([f for _, _, f, _ in halfedges], dtype=np.int64)
     vw = np.array([(v, w) for v, w, _, _ in halfedges], dtype=np.int64)
     vec3 = mesh.vertices[vw[:, 1]] - mesh.vertices[vw[:, 0]]
     edge_vec = np.einsum("bij,bj->bi", atlas.face_frame[face], vec3)
-    return BoundaryRows(face=face, edge_vec=edge_vec)
+    n_be = len(face)
+    rows = np.repeat(np.arange(n_be), 2)
+    cols = (2 * face[:, None] + np.arange(2)).ravel()
+    return sp.csr_matrix((edge_vec.ravel(), (rows, cols)),
+                         shape=(n_be, 2 * len(mesh.triangles)))
 
 
 @dataclass
@@ -185,8 +194,9 @@ class OperatorSet:
     k_max: int
     fem: FemBlocks = None
     cr: CrBlocks = None
-    boundary: BoundaryRows = None
+    boundary: sp.csr_matrix = None        # (n_be, 2 n_f) circulation rows
     transport_d: np.ndarray = None        # (n_f, 3) degree-d transport coefficients
+    transport_pow: np.ndarray = None      # (k_max + 1, n_f, 3) transport_d ** -k
 
     @classmethod
     def assemble(cls, mesh, atlas, degree, radius, k_max):
@@ -195,11 +205,13 @@ class OperatorSet:
         ops.cr = assemble_crouzeix_raviart(mesh, ops.fem)
         ops.boundary = assemble_boundary_rows(mesh, atlas)
         ops.transport_d = atlas.transport ** degree
+        ks = np.arange(k_max + 1)
+        ops.transport_pow = ops.transport_d[None, :, :] ** (-ks[:, None, None])
         return ops
 
     def transport_k(self, k):
         """Per-corner transport entries at frequency ``k`` (degree folded in)."""
-        return self.transport_d ** (-k)
+        return self.transport_pow[k] if k >= 0 else np.conj(self.transport_pow[-k])
 
     def stiffness(self, k):
         return assemble_stiffness(self.fem, self.transport_k(k))
@@ -214,14 +226,11 @@ class OperatorSet:
 
     def cr_face_gradient(self, phi):
         """Per-face constant gradient of an interior-edge function (0 on boundary edges)."""
-        cols = self.cr.face_edge_col
-        vals = np.where(cols >= 0, phi[np.maximum(cols, 0)], 0.0)
-        return np.einsum("fdj,fj->fd", -2.0 * self.fem.hat_gradient, vals)
+        return (self.cr.gradient @ phi).reshape(-1, 2)
 
     def scatter_corners(self, corner_values, k):
         """Adjoint of the covariant incidence: conj-transported corner sums per vertex."""
-        t = np.conj(self.transport_k(k)).ravel()
-        vals = t * corner_values.ravel()
+        vals = np.conj(self.transport_k(k)).ravel() * corner_values.ravel()
         idx = self.fem.corner_vertex.ravel()
         n_v = len(self.mesh.vertices)
         out = np.bincount(idx, weights=vals.real, minlength=n_v).astype(complex)

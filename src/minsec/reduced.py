@@ -2,14 +2,18 @@
 
 With the fiber machinery switched off, the relaxation collapses to
 choosing a sparse cone-density against a Dirichlet potential. The same
-edge shrinkage and edge-midpoint operators are reused; one symmetric
-system is factored per penalty value.
+edge shrinkage, penalty update and edge-midpoint operators are reused;
+one symmetric system is factored per penalty value.
+
+The potential step solves ``(2L + nu L M^-1 L) phi = nu L g``, which is
+``L M^-1 (2M + nu L) phi = nu L g``. The edge-midpoint Laplacian ``L`` is
+nonsingular (Dirichlet on boundary edges), so the solve factors
+``2M + nu L``, with the sparsity of ``L``, and never forms ``L M^-1 L``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import build_transport
@@ -29,7 +33,7 @@ class ReducedSolution:
 
 
 def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
-                  mask=None, adapt=True):
+                  mask=None):
     """Minimize Dirichlet energy plus ``lam_eff`` times the cone mass.
 
     The potential is zero on the boundary; the density and curvature are
@@ -47,14 +51,9 @@ def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
     if kappa_bar.shape != (n_ie,):
         raise ValueError("curvature density must have one value per interior edge")
 
-    mask_cols = None
-    if mask is not None:
-        mask_cols = cr.edge_col[np.asarray(mask, dtype=np.int64)]
-        if np.any(mask_cols < 0):
-            raise ValueError("masked edge is not an interior edge")
+    mask_cols = None if mask is None else cr.mask_columns(mask)
 
     L = cr.laplacian
-    LML = (L @ sp.diags(1.0 / cr.mass) @ L).tocsc()
 
     gamma = kappa_bar.copy()
     z = np.zeros(n_ie)
@@ -65,9 +64,9 @@ def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
     converged = False
     for it in range(max_iters):
         if lu is None or lu_nu != nu:
-            lu = splu((2.0 * L + nu * LML).tocsc())
+            lu = splu(cr.shifted_laplacian(2.0, nu))
             lu_nu = nu
-        phi = lu.solve(nu * (L @ (gamma - kappa_bar + z)))
+        phi = lu.solve(nu * cr.mass * (gamma - kappa_bar + z))
         target = (L @ phi) / cr.mass + kappa_bar
         prev = gamma
         gamma = local_step_gamma(target - z, nu, lam_eff, mask_cols)
@@ -75,10 +74,9 @@ def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
         r_p = np.sqrt(np.sum(cr.mass * (gamma - target) ** 2))
         r_d = np.sqrt(np.sum(cr.mass * (gamma - prev) ** 2))
         history.append((r_p, r_d))
-        if adapt:
-            nu, s = adapt_penalty(nu, r_p, r_d)
-            if s != 1.0:
-                z = z * s
+        nu, s = adapt_penalty(nu, r_p, r_d)
+        if s != 1.0:
+            z = z * s
         if r_p < eps and r_d < eps:
             converged = True
             break

@@ -10,6 +10,9 @@ factored when the solver is built. The edge-midpoint Laplacian is
 factored, and solved against the boundary rows, at the first saddle
 build; after that a penalty change refactors only one block with
 Laplacian sparsity and rebuilds the dense boundary Schur complement.
+The right-hand sides, boundary coupling rows and reconstruction use the
+gradient and circulation matrices, corner scatter and transport powers of
+:mod:`operators`; the solver builds none of its own.
 """
 
 import numbers
@@ -22,10 +25,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .bundle import (TAU_BAR_VERTICAL, BoundaryData, FiberDiscretization,
-                     fourier_forward, fourier_inverse, make_boundary_data,
-                     make_kappa_bar)
+                     check_fiber, fourier_forward, fourier_inverse,
+                     make_boundary_data, make_kappa_bar)
 from .mesh import build_transport
 from .operators import OperatorSet, quarter_turn
+
+#: Penalty adaptation: scale a penalty by ADAPT_FACTOR when one residual
+#: exceeds ADAPT_RATIO times the other.
+ADAPT_RATIO = 10.0
+ADAPT_FACTOR = 2.0
 
 
 @dataclass
@@ -46,8 +54,6 @@ class SolverConfig:
     mu: float = 1.0
     nu: float = 1.0
     adapt: bool = True
-    adapt_ratio: float = 10.0
-    adapt_factor: float = 2.0
     mask: object = None
     track_objective: bool = True
 
@@ -63,21 +69,18 @@ class SolverConfig:
         if lam.ndim == 1 and n_interior_edges is not None and len(lam) != n_interior_edges:
             raise ValueError("lambda field has %d entries; mesh has %d interior edges"
                              % (len(lam), n_interior_edges))
-        for name in ("eps", "mu", "nu", "radius"):
+        for name in ("eps", "mu", "nu"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
         if self.eps < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("penalties must be positive")
-        if self.radius <= 0:
-            raise ValueError("fiber radius must be positive")
         for name in ("degree", "fiber_n", "max_iters"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))
-        if self.fiber_n < 8 or self.fiber_n % 2:
-            raise ValueError("N must be even and >= 8, got %d" % self.fiber_n)
+        check_fiber(self.radius, self.fiber_n)
         return lam
 
 
@@ -141,18 +144,24 @@ def init_state(ops, fd, boundary_data):
     )
 
 
-def local_step_sigma(hat_h, hat_v, mu, radius, vec_axis=-1):
+def sample_density(state, radius):
+    """Bundle-metric norm ``sqrt(|sigma_h|^2 + sigma_v^2 / r^2)`` of each sample."""
+    return np.sqrt(np.einsum("cdm,cdm->cm", state.sigma_h, state.sigma_h)
+                   + state.sigma_v ** 2 / radius ** 2)
+
+
+def local_step_sigma(hat_h, hat_v, mu, radius):
     """Pointwise prox of the bundle-metric norm with vertical nonnegativity.
 
     Clamps the vertical part to be nonnegative, then shortens the sample by
     ``1/mu`` in the metric ``|h|^2 + v^2 / r^2``, zeroing it inside the
-    deadzone. ``vec_axis`` locates the 2-vector axis of ``hat_h``.
+    deadzone. Axis 1 of ``hat_h`` holds the 2-vector.
     """
     v = np.maximum(hat_v, 0.0)
-    norm = np.sqrt((hat_h * hat_h).sum(axis=vec_axis) + v * v / (radius * radius))
+    norm = np.sqrt((hat_h * hat_h).sum(axis=1) + v * v / (radius * radius))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norm > 0, np.maximum(1.0 - 1.0 / (mu * norm), 0.0), 0.0)
-    return np.expand_dims(scale, vec_axis) * hat_h, scale * v
+    return np.expand_dims(scale, 1) * hat_h, scale * v
 
 
 def local_step_gamma(gamma_hat, nu, lam, mask_cols=None):
@@ -167,12 +176,12 @@ def local_step_gamma(gamma_hat, nu, lam, mask_cols=None):
     return out
 
 
-def adapt_penalty(penalty, r_primal, r_dual, ratio=10.0, factor=2.0):
+def adapt_penalty(penalty, r_primal, r_dual):
     """Balanced-residual update: returns (new penalty, dual rescale factor)."""
-    if r_primal > ratio * r_dual:
-        return penalty * factor, 1.0 / factor
-    if r_dual > ratio * r_primal:
-        return penalty / factor, factor
+    if r_primal > ADAPT_RATIO * r_dual:
+        return penalty * ADAPT_FACTOR, 1.0 / ADAPT_FACTOR
+    if r_dual > ADAPT_RATIO * r_primal:
+        return penalty / ADAPT_FACTOR, ADAPT_FACTOR
     return penalty, 1.0
 
 
@@ -189,7 +198,9 @@ class GlobalSystems:
     The edge-midpoint block ``K2 = mu*ell*Lc + nu*Lc M^-1 Lc`` (``Lc`` the
     edge-midpoint Laplacian, ``M`` its diagonal mass) is used in the exact
     product form ``K2 = Lc M^-1 A`` with ``A = mu*ell*M + nu*Lc``, so
-    ``K2^-1 = A^-1 M Lc^-1``. The constructor factors the per-frequency
+    ``K2^-1 = A^-1 M Lc^-1``. The boundary rows are ``C1 = B G_fem`` and
+    ``C2 = B J G_cr`` (``B`` the circulation matrix, ``J`` the per-face
+    quarter turn). The constructor factors the per-frequency
     systems and the conforming block and forms its boundary columns. The
     first :meth:`refactor` factors ``Lc`` and forms the penalty-free
     columns ``M Lc^-1 C2^T``; every build, the first included, factors
@@ -221,13 +232,13 @@ class GlobalSystems:
                                    % (k, exc)) from exc
             self._freq[k] = (lu, L[self.interior][:, self.b_vertices].tocsc())
 
-        L0 = ops.laplacian(0).real.tocsc()
-        self._L0 = L0
-        self._L0_ff = L0[self.free0][:, self.free0].tocsc()
-        self._lu0 = splu(self._L0_ff)
+        self._L0 = L0 = ops.laplacian(0).real.tocsc()
+        self._lu0 = splu(L0[self.free0][:, self.free0].tocsc())
 
-        self._C1 = self._conforming_boundary_rows()     # (n_be, n_v)
-        self._C2 = self._cr_boundary_rows()             # (n_be, n_ie)
+        B = ops.boundary
+        J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
+        self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
+        self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
         C1f = self._C1[:, self.free0]
         # columns of L0_ff^{-1} C1f^T, reused in every Schur rebuild
         self._Z1 = self._lu0.solve(C1f.T.toarray())
@@ -237,38 +248,6 @@ class GlobalSystems:
         self._nu = None
         self.builds = 0
         self.build_seconds = 0.0
-
-    def _conforming_boundary_rows(self):
-        ops = self.ops
-        rows_mat = ops.boundary
-        tri = ops.mesh.triangles
-        grad = ops.fem.hat_gradient
-        n_be = len(rows_mat.face)
-        r, c, v = [], [], []
-        for j in range(3):
-            f = rows_mat.face
-            r.append(np.arange(n_be))
-            c.append(tri[f, j])
-            v.append(np.einsum("bd,bd->b", rows_mat.edge_vec, grad[f, :, j]))
-        return sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                             shape=(n_be, len(ops.mesh.vertices))).tocsc()
-
-    def _cr_boundary_rows(self):
-        ops = self.ops
-        rows_mat = ops.boundary
-        cols = ops.cr.face_edge_col
-        grad = -2.0 * ops.fem.hat_gradient
-        n_be = len(rows_mat.face)
-        r, c, v = [], [], []
-        for j in range(3):
-            f = rows_mat.face
-            keep = cols[f, j] >= 0
-            r.append(np.arange(n_be)[keep])
-            c.append(cols[f[keep], j])
-            v.append(np.einsum("bd,bd->b", rows_mat.edge_vec[keep],
-                               quarter_turn(grad[f[keep], :, j])))
-        return sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                             shape=(n_be, len(ops.mesh.interior_edges))).tocsc()
 
     def refactor(self, mu, nu):
         """(Re)build the frequency-zero saddle pieces for the given penalties."""
@@ -281,8 +260,7 @@ class GlobalSystems:
             self._lu_lc = splu(cr.laplacian.tocsc())
             # M Lc^{-1} C2^T, reused in every Schur rebuild
             self._W2 = cr.mass[:, None] * self._lu_lc.solve(self._C2.T.toarray())
-        A = (mu * ell) * sp.diags(cr.mass) + nu * cr.laplacian
-        self._lu_a = splu(A.tocsc())
+        self._lu_a = splu(cr.shifted_laplacian(mu * ell, nu))
         self._Z2 = self._lu_a.solve(self._W2)           # K2^{-1} C2^T
         S = self._S1 / (mu * ell) + self._C2 @ self._Z2
         lu, piv = sla.lu_factor(S)
@@ -356,13 +334,9 @@ class AdmmSolver:
                                          self.fd.k_max)
         self.kappa_bar = make_kappa_bar(self.atlas, config.degree)
         self.systems = GlobalSystems(self.ops, self.fd, self.bd)
-        self.mask_cols = self._mask_columns(config.mask)
+        self.mask_cols = self.ops.cr.mask_columns([] if config.mask is None else config.mask)
         self._phase_times = {"global": 0.0, "local": 0.0, "dual": 0.0,
                              "residual": 0.0}
-
-        ks = np.arange(self.fd.k_max + 1)
-        self._t_stack = self.ops.transport_d[None, :, :] ** (-ks[:, None, None])
-        self._t_conj = np.conj(self._t_stack)
 
         w = self.ops.fem.corner_weight.ravel()
         self._sample_measure = w[:, None] * (self.fd.length / self.fd.n)
@@ -371,16 +345,6 @@ class AdmmSolver:
         # rotates gradients by +90 degrees, so positively wound data drives
         # positive singularity density)
         self._g0 = -self.bd.edge_winding
-
-    def _mask_columns(self, mask):
-        if mask is None:
-            return np.zeros(0, dtype=np.int64)
-        edge_ids = np.asarray(mask, dtype=np.int64)
-        cols = self.ops.cr.edge_col[edge_ids]
-        if np.any(cols < 0):
-            bad = edge_ids[cols < 0][0]
-            raise ValueError("masked edge %d is not an interior edge" % bad)
-        return cols
 
     # -- pieces of one iteration ----------------------------------------
 
@@ -394,22 +358,15 @@ class AdmmSolver:
         Ch = fourier_forward(alpha_h, fd.k_max)                  # (n_c, 2, K+1)
         Cv = fourier_forward(alpha_v, fd.k_max)                  # (n_c, K+1)
 
-        grad = ops.fem.hat_gradient
         area = ops.fem.face_area
-        mass = ops.fem.corner_mass
 
         # batched right-hand side pieces for every frequency at once
         face_h = area[:, None, None] * Ch.reshape(n_f, 3, 2, -1).mean(axis=1)
-        gc_all = np.einsum("fdj,fdk->fjk", grad, face_h)         # (n_f, 3, K+1)
-        mc_all = np.einsum("fij,fjk->fik", mass, Cv.reshape(n_f, 3, -1))
-        idx = ops.fem.corner_vertex.ravel()
-        n_v = len(self.mesh.vertices)
+        gc_all = np.einsum("fdj,fdk->fjk", ops.fem.hat_gradient, face_h)  # (n_f, 3, K+1)
+        mc_all = np.einsum("fij,fjk->fik", ops.fem.corner_mass, Cv.reshape(n_f, 3, -1))
 
         for k in range(1, fd.k_max + 1):
-            vals = (self._t_conj[k].ravel()
-                    * (gc_all[:, :, k] - (1j * k / r2) * mc_all[:, :, k]).ravel())
-            rhs = np.bincount(idx, weights=vals.real, minlength=n_v).astype(complex)
-            rhs += 1j * np.bincount(idx, weights=vals.imag, minlength=n_v)
+            rhs = ops.scatter_corners(gc_all[:, :, k] - (1j * k / r2) * mc_all[:, :, k], k)
             state.f[k] = self.systems.solve_frequency(k, rhs)
 
         # frequency zero: conforming + edge-midpoint blocks meet at the boundary
@@ -417,16 +374,11 @@ class AdmmSolver:
         self.systems.refactor(state.mu, state.nu)
         h0 = Ch[:, :, 0].real.reshape(n_f, 3, 2)
         face_h0 = area[:, None] * h0.mean(axis=1)
-        rhs1 = mu_ell * ops.scatter_corners(
-            np.einsum("fdj,fd->fj", grad, face_h0), 0).real
+        rhs1 = mu_ell * (ops.fem.gradient.T @ face_h0.ravel())
         jt_h0 = -quarter_turn(face_h0)        # adjoint of the quarter turn
-        cr_vals = np.einsum("fdj,fd->fj", -2.0 * grad, jt_h0)
-        rhs2 = np.zeros(len(self.mesh.interior_edges))
-        cols = ops.cr.face_edge_col
-        keep = cols >= 0
-        np.add.at(rhs2, cols[keep], cr_vals[keep])
         g = state.gamma - self.kappa_bar + state.z
-        rhs2 = mu_ell * rhs2 + state.nu * (ops.cr.laplacian @ g)
+        rhs2 = (mu_ell * (ops.cr.gradient.T @ jt_h0.ravel())
+                + state.nu * (ops.cr.laplacian @ g))
         f0, phi, beta = self.systems.solve_zero(rhs1, rhs2, self._g0)
         state.f[0] = f0
         state.phi = phi
@@ -440,7 +392,7 @@ class AdmmSolver:
         K = fd.k_max
         tri = self.mesh.triangles
 
-        fc_all = self._t_stack * state.f[:, tri]                 # (K+1, n_f, 3)
+        fc_all = ops.transport_pow * state.f[:, tri]             # (K+1, n_f, 3)
         CH = np.einsum("fdj,kfj->fdk", ops.fem.hat_gradient, fc_all)
         CV = ((1j * np.arange(K + 1))[:, None, None] * fc_all).transpose(1, 2, 0)
         CH[:, :, 0] += quarter_turn(ops.cr_face_gradient(state.phi))
@@ -466,10 +418,7 @@ class AdmmSolver:
 
     def objective(self, state):
         """Mass of the section current plus the weighted singularity mass."""
-        r2 = self.config.radius ** 2
-        dens = np.sqrt(np.einsum("cdm,cdm->cm", state.sigma_h, state.sigma_h)
-                       + state.sigma_v ** 2 / r2)
-        mass_sigma = np.sum(self._sample_measure * dens)
+        mass_sigma = np.sum(self._sample_measure * sample_density(state, self.config.radius))
         mass_gamma = np.sum(self.ops.cr.mass * self.lam * np.abs(state.gamma))
         return mass_sigma + float(mass_gamma)
 
@@ -483,8 +432,7 @@ class AdmmSolver:
         hat_h = Rh - state.w_h
         hat_v = Rv - state.w_v
         prev_h, prev_v = state.sigma_h, state.sigma_v
-        state.sigma_h, state.sigma_v = local_step_sigma(hat_h, hat_v, state.mu,
-                                                         cfg.radius, vec_axis=1)
+        state.sigma_h, state.sigma_v = local_step_sigma(hat_h, hat_v, state.mu, cfg.radius)
 
         gt = self.gamma_target(state)
         prev_g = state.gamma
@@ -508,13 +456,11 @@ class AdmmSolver:
         pt["residual"] += t4 - t3
 
         if cfg.adapt:
-            state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu,
-                                        cfg.adapt_ratio, cfg.adapt_factor)
+            state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu)
             if s != 1.0:
                 state.w_h = state.w_h * s
                 state.w_v = state.w_v * s
-            state.nu, s = adapt_penalty(state.nu, r_p_nu, r_d_nu,
-                                        cfg.adapt_ratio, cfg.adapt_factor)
+            state.nu, s = adapt_penalty(state.nu, r_p_nu, r_d_nu)
             if s != 1.0:
                 state.z = state.z * s
 

@@ -67,7 +67,7 @@ def test_validate_config_errors(tmp_path):
 
 def test_non_finite_flags_exit_code(disk_obj, tmp_path, capsys):
     for flag, value in [("--lambda", "nan"), ("--radius", "nan"), ("--epsilon", "nan"),
-                        ("--max-iters", "0")]:
+                        ("--max-iters", "0"), ("--radius", "1e-200"), ("--radius", "1e200")]:
         code = main(["--mesh", disk_obj, flag, value, "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err

@@ -7,6 +7,7 @@ from minsec.operators import (OperatorSet, assemble_boundary_rows,
                               assemble_crouzeix_raviart, assemble_frequency_laplacian,
                               assemble_linear_fem, assemble_stiffness,
                               quarter_turn)
+from minsec.solver import AdmmSolver, SolverConfig
 
 
 def _fem(mesh):
@@ -218,9 +219,20 @@ def test_boundary_rows_match_circulation():
     atlas = build_transport(mesh)
     rows = assemble_boundary_rows(mesh, atlas)
     rng = np.random.default_rng(10)
+
+    def circulation(v):
+        # brute-force per-edge line integrals straight from positions
+        return np.array([np.dot(v[f], atlas.face_frame[f] @ (mesh.vertices[w] - mesh.vertices[a]))
+                         for a, w, f, _ in mesh.boundary_halfedges()])
+
     v = rng.standard_normal((len(mesh.triangles), 2))
-    via_rows = rows.circulation(v).sum()
-    circ = 0.0
-    for vtx, w, f, _ in mesh.boundary_halfedges():
-        circ += np.dot(v[f], atlas.face_frame[f] @ (mesh.vertices[w] - mesh.vertices[vtx]))
-    assert via_rows == pytest.approx(circ, rel=1e-12)
+    assert rows @ v.ravel() == pytest.approx(circulation(v), rel=1e-12)
+    # the coupling rows of the frequency-zero saddle system, on both loops
+    solver = AdmmSolver(mesh, SolverConfig(degree=1, fiber_n=8), atlas=atlas)
+    systems, ops = solver.systems, solver.ops
+    u = rng.standard_normal(len(mesh.vertices))
+    grad_u = np.einsum("fdj,fj->fd", ops.fem.hat_gradient, u[mesh.triangles])
+    assert systems._C1 @ u == pytest.approx(circulation(grad_u), rel=1e-12)
+    phi = rng.standard_normal(len(mesh.interior_edges))
+    rot_phi = quarter_turn(ops.cr_face_gradient(phi))
+    assert systems._C2 @ phi == pytest.approx(circulation(rot_phi), rel=1e-12)

@@ -406,6 +406,7 @@ def test_config_validation():
              ({"lam": np.nan}, "lambda must be finite"),
              ({"lam": np.array([1.0, np.inf])}, "lambda must be finite"),
              ({"radius": np.nan}, "radius must be finite"),
+             ({"radius": 1e-200}, "radius"),
              ({"mu": np.inf}, "mu must be finite"),
              ({"eps": np.nan}, "eps must be finite"),
              ({"degree": 2.5}, "degree must be a positive integer"),
