@@ -2,7 +2,9 @@
 
 Outputs are plain text with fixed column orders so plotting and meshing
 stay external. Exit code 0 means the solve converged, 2 means it hit the
-iteration cap (partial results are still written), 1 is any error.
+iteration cap (partial results are still written), 1 is any error:
+:func:`main` reports a ``ValueError``, ``OSError`` or ``RuntimeError``
+from any stage as one ``error: ...`` line.
 """
 
 import argparse
@@ -13,10 +15,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import FiberDiscretization, make_boundary_data, make_kappa_bar
+from .bundle import make_kappa_bar
 from .extract import (baseline_smoothest_field, concentration_cdf, extract_field,
                       extract_singularities, fiber_w2, graph_area)
-from .mesh import MeshError, build_transport, load_mesh
+from .mesh import build_transport, load_mesh
 from .operators import OperatorSet
 from .reduced import solve_reduced
 from .solver import SolverConfig, run_admm, sample_density
@@ -35,8 +37,6 @@ class RunConfig:
     fiber_n: int = 64
     epsilon: float = 5e-4
     max_iters: int = 2000
-    mu: float = 1.0
-    nu: float = 1.0
     mask: str = ""
     boundary: str = "tangent"
     out: str = "."
@@ -71,7 +71,7 @@ def _solver_config(config, lam, mask=None):
     return SolverConfig(
         lam=lam, radius=config.radius, degree=config.degree,
         fiber_n=config.fiber_n, eps=config.epsilon, max_iters=config.max_iters,
-        mu=config.mu, nu=config.nu, mask=mask)
+        mask=mask)
 
 
 def validate_config(path):
@@ -178,78 +178,44 @@ def _read_lambda_field(path, mesh, base):
     return out
 
 
-def _write_field(path, field):
+def _write_rows(path, fmt, *columns):
+    """One ``fmt % row`` line per row of the equal-length ``columns``."""
     with open(path, "w") as fh:
-        for v in range(len(field.z)):
-            fh.write("%d %.17g %.17g\n" % (v, field.angle[v], field.confidence[v]))
+        fh.writelines(fmt % row for row in zip(*(np.ravel(c).tolist() for c in columns)))
 
 
-def _write_frames(path, atlas):
-    with open(path, "w") as fh:
-        for v, (e1, e2) in enumerate(atlas.vertex_frame):
-            fh.write("%d %.17g %.17g %.17g %.17g %.17g %.17g\n"
-                     % (v, e1[0], e1[1], e1[2], e2[0], e2[1], e2[2]))
-
-
-def _write_singularities(path, sing):
-    with open(path, "w") as fh:
-        for c in sing.clusters:
-            fh.write("%.17g %.17g %.17g %.17g %.17g\n"
-                     % (c.position[0], c.position[1], c.position[2],
-                        c.index, c.residual))
-
-
-def _write_gamma(path, mesh, gamma):
-    with open(path, "w") as fh:
-        for col, eid in enumerate(mesh.interior_edges):
-            a, b = mesh.edges[eid]
-            fh.write("%d %d %d %.17g\n" % (eid, a, b, gamma[col]))
-
-
-def _write_current(path, state, ops):
-    dens = sample_density(state, ops.radius)
-    with open(path, "w") as fh:
-        for c in range(dens.shape[0]):
-            face, corner = divmod(c, 3)
-            for m in range(dens.shape[1]):
-                fh.write("%d %d %d %.17g\n" % (face, corner, m, dens[c, m]))
-
-
-def _write_diagnostics(path, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+_FIELD_ROW = "%d %.17g %.17g\n"                # vertex angle confidence
+_FRAME_ROW = "%d" + " %.17g" * 6 + "\n"        # vertex e1 e2
+_GAMMA_ROW = "%d %d %d %.17g\n"                # edge v0 v1 value
 
 
 def run(config):
-    """Execute one configured pipeline; returns the process exit code."""
+    """Execute one configured pipeline; returns the process exit code.
+
+    Bad settings, inputs and failed solves raise; :func:`main` reports them.
+    """
     _check(config)
     if not config.mesh:
-        print("error: no mesh given", file=sys.stderr)
-        return 1
+        raise ConfigError("no mesh given")
     if not os.path.exists(config.mesh):
-        print("error: mesh not found: %s" % config.mesh, file=sys.stderr)
-        return 1
-    try:
-        mesh = load_mesh(config.mesh)
-        atlas = build_transport(mesh)
-        boundary = config.boundary
-        if boundary != "tangent":
-            boundary = _read_boundary_file(boundary, mesh)
-        if config.mode == "minsec":
-            k_max = FiberDiscretization(config.fiber_n, config.radius).k_max
-            boundary = make_boundary_data(atlas, boundary, config.degree, k_max)
-    except (MeshError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        raise ConfigError("mesh not found: %s" % config.mesh)
+    mesh = load_mesh(config.mesh)
+    atlas = build_transport(mesh)
+    boundary = config.boundary
+    if boundary != "tangent":
+        boundary = _read_boundary_file(boundary, mesh)
 
     os.makedirs(config.out, exist_ok=True)
     path = lambda name: os.path.join(config.out, name)
+    vertex = np.arange(len(mesh.vertices))
+    frames = atlas.vertex_frame.reshape(len(vertex), 6).T
+    edges = (mesh.interior_edges, *mesh.edges[mesh.interior_edges].T)
 
     if config.mode == "baseline":
         ops = OperatorSet.assemble(mesh, atlas, config.degree, config.radius, k_max=1)
         field = baseline_smoothest_field(ops)
-        _write_field(path("field.txt"), field)
-        _write_frames(path("frames.txt"), atlas)
+        _write_rows(path("field.txt"), _FIELD_ROW, vertex, field.angle, field.confidence)
+        _write_rows(path("frames.txt"), _FRAME_ROW, vertex, *frames)
         return 0
 
     if config.mode == "reduced":
@@ -258,37 +224,39 @@ def run(config):
         mask = _read_mask_file(config.mask, mesh) if config.mask else None
         t0 = time.perf_counter()
         out = solve_reduced(mesh, kb, lam_eff=2 * config.lam / ell ** 2,
-                            nu=config.nu, eps=config.epsilon,
-                            max_iters=config.max_iters, mask=mask)
+                            eps=config.epsilon, max_iters=config.max_iters, mask=mask)
         elapsed = time.perf_counter() - t0
-        _write_gamma(path("gamma.txt"), mesh, out.gamma)
+        _write_rows(path("gamma.txt"), _GAMMA_ROW, *edges, out.gamma)
         lines = ["mode reduced",
                  "iterations %d" % out.iterations,
                  "converged %d" % int(out.converged),
                  "objective %.17g" % out.objective,
                  "feasibility %.17g" % out.feasibility,
                  "time_seconds %.6f" % elapsed]
-        _write_diagnostics(path("diagnostics.txt"), lines)
+        _write_rows(path("diagnostics.txt"), "%s\n", lines)
         return 0 if out.converged else 2
 
     lam = config.lam
     if config.lambda_field:
         lam = _read_lambda_field(config.lambda_field, mesh, config.lam)
     mask = _read_mask_file(config.mask, mesh) if config.mask else None
-    try:
-        res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
-    except RuntimeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
     field = extract_field(res.state, res.ops)
     sing = extract_singularities(res.state.gamma, res.ops, config.degree)
 
-    _write_field(path("field.txt"), field)
-    _write_frames(path("frames.txt"), atlas)
-    _write_singularities(path("singularities.txt"), sing)
-    _write_gamma(path("gamma.txt"), mesh, res.state.gamma)
+    _write_rows(path("field.txt"), _FIELD_ROW, vertex, field.angle, field.confidence)
+    _write_rows(path("frames.txt"), _FRAME_ROW, vertex, *frames)
+    cl = sing.clusters
+    _write_rows(path("singularities.txt"), "%.17g %.17g %.17g %.17g %.17g\n",
+                *np.reshape([c.position for c in cl], (-1, 3)).T,
+                [c.index for c in cl], [c.residual for c in cl])
+    _write_rows(path("gamma.txt"), _GAMMA_ROW, *edges, res.state.gamma)
     if config.emit_current:
-        _write_current(path("current.txt"), res.state, res.ops)
+        # face corner increment value, one line per corner sample
+        dens = sample_density(res.state, res.ops.radius)
+        corner, inc = np.indices(dens.shape)
+        _write_rows(path("current.txt"), "%d %d %d %.17g\n", corner // 3, corner % 3,
+                    inc, dens)
 
     thetas = np.pi * np.arange(33) / 32
     cdf = concentration_cdf(res.state, field, res.ops, res.fd, thetas)
@@ -313,7 +281,7 @@ def run(config):
     lines += ["", "# residual history: iter r_p_mu r_d_mu r_p_nu r_d_nu"]
     lines += ["resid %d %s" % (i, " ".join("%.6g" % r for r in row))
               for i, row in enumerate(rep.residual_history)]
-    _write_diagnostics(path("diagnostics.txt"), lines)
+    _write_rows(path("diagnostics.txt"), "%s\n", lines)
     return 0 if rep.converged else 2
 
 
@@ -350,7 +318,7 @@ def main(argv=None):
             if value is not None:
                 setattr(config, f.name, value)
         return run(config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -1,11 +1,24 @@
-"""Field extraction, singularity clustering, and concentration diagnostics."""
+"""Field extraction, singularity clustering, and concentration diagnostics.
+
+Clustering seeds on interior edges whose density exceeds
+``SEED_THRESHOLD`` times the peak and grows the seeds by one ring of
+vertex-adjacent edges. The baseline field's inverse power iteration stops
+at a relative eigen-residual of ``BASELINE_TOL`` or fails after
+``BASELINE_MAX_ITERS`` steps.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .solver import sample_density
+
+SEED_THRESHOLD = 1e-3
+BASELINE_MAX_ITERS = 500
+BASELINE_TOL = 1e-8
 
 
 @dataclass
@@ -61,13 +74,14 @@ class SingularitySet:
         return float(sum(c.index for c in self.clusters))
 
 
-def extract_singularities(gamma, ops, degree, threshold_rel=1e-3, grow_rings=1):
+def extract_singularities(gamma, ops, degree):
     """Cluster the singularity density into isolated defects.
 
-    Interior edges carrying at least ``threshold_rel`` of the peak density
-    are seeds; the set is grown by ``grow_rings`` rings of vertex-adjacent
-    edges to absorb smeared mass, then split into connected components.
-    Cluster indices are the integrated density divided by the degree, so a
+    Interior edges carrying more than ``SEED_THRESHOLD`` of the peak
+    density are seeds; the set is grown by one ring of vertex-adjacent
+    edges to absorb smeared mass, then split into the connected components
+    of the graph joining each active edge to its two vertices. Cluster
+    indices are the integrated density divided by the degree, so a
     quantized defect lands on a multiple of ``1/degree``.
     """
     mesh = ops.mesh
@@ -79,39 +93,29 @@ def extract_singularities(gamma, ops, degree, threshold_rel=1e-3, grow_rings=1):
         return SingularitySet(clusters=[], residual_mass=total, total_mass=total)
 
     interior = mesh.interior_edges
-    active = np.abs(gamma) > threshold_rel * peak
+    n_v = len(mesh.vertices)
+    seed = np.abs(gamma) > SEED_THRESHOLD * peak
     verts_of = mesh.edges[interior]
-    for _ in range(grow_rings):
-        hot = np.zeros(len(mesh.vertices), dtype=bool)
-        hot[verts_of[active].ravel()] = True
-        active = active | hot[verts_of].any(axis=1)
+    hot = np.zeros(n_v, dtype=bool)
+    hot[verts_of[seed].ravel()] = True
+    active = np.nonzero(seed | hot[verts_of].any(axis=1))[0]
 
-    # union-find over active edges sharing a vertex
-    parent = np.arange(len(interior))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_vertex = {}
-    for col in np.nonzero(active)[0]:
-        for v in verts_of[col]:
-            other = by_vertex.setdefault(int(v), col)
-            if other != col:
-                parent[find(col)] = find(other)
-
-    groups = {}
-    for col in np.nonzero(active)[0]:
-        groups.setdefault(find(col), []).append(col)
+    # graph nodes: the active edges first, then one node per vertex
+    n_act = len(active)
+    edge_node = np.repeat(np.arange(n_act), 2)
+    vertex_node = n_act + verts_of[active].ravel()
+    graph = sp.coo_matrix((np.ones(2 * n_act), (edge_node, vertex_node)),
+                          shape=(n_act + n_v,) * 2)
+    labels = connected_components(graph, directed=False)[1][:n_act]
+    # groups in the order of their smallest column, columns ascending
+    _, first = np.unique(labels, return_index=True)
+    groups = [active[labels == labels[i]] for i in np.sort(first)]
 
     midpoints = 0.5 * (mesh.vertices[verts_of[:, 0]] + mesh.vertices[verts_of[:, 1]])
     clusters = []
     clustered = 0.0
     quantum = 1.0 / degree
-    for cols in groups.values():
-        cols = np.array(cols)
+    for cols in groups:
         m = mass[cols]
         cmass = float(m.sum())
         clustered += cmass
@@ -211,35 +215,17 @@ def helicoid_area(radius, ratio):
     return np.pi * radius ** 2 * (k * np.sqrt(1 + k * k) + np.arcsinh(k))
 
 
-def graph_area(extracted, ops, radius, exclude_centers=(), exclude_radius=0.0,
-               add_helicoid=False):
-    """Area of the section graph over the non-excluded faces.
-
-    Integrates ``sqrt(1 + r^2 |D sigma|^2)`` with the covariant per-face
-    derivative; faces whose centroid lies within ``exclude_radius`` of any
-    listed center are skipped, optionally replaced by the closed-form
-    helicoid area of one excision disk each.
-    """
-    mesh = ops.mesh
+def graph_area(extracted, ops, radius):
+    """Area of the section graph: ``sqrt(1 + r^2 |D sigma|^2)`` integrated
+    over the faces with the covariant per-face derivative."""
     mag = face_angle_gradient(extracted, ops)
-    keep = np.ones(len(mesh.triangles), dtype=bool)
-    centers = np.atleast_2d(np.asarray(exclude_centers, dtype=float)) \
-        if len(np.atleast_1d(exclude_centers)) else np.zeros((0, 3))
-    if centers.size:
-        centroid = mesh.vertices[mesh.triangles].mean(axis=1)
-        for c in centers:
-            keep &= np.linalg.norm(centroid - c, axis=1) > exclude_radius
-    if np.any(keep & ~np.isfinite(mag)):
-        raise ValueError("field is undefined on %d non-excluded faces"
-                         % int(np.sum(keep & ~np.isfinite(mag))))
-    area = np.sum(mesh.face_area[keep]
-                  * np.sqrt(1.0 + radius ** 2 * mag[keep] ** 2))
-    if add_helicoid and centers.size:
-        area += len(centers) * helicoid_area(radius, exclude_radius / radius)
-    return float(area)
+    undefined = int(np.sum(~np.isfinite(mag)))
+    if undefined:
+        raise ValueError("field is undefined on %d faces" % undefined)
+    return float(np.sum(ops.mesh.face_area * np.sqrt(1.0 + radius ** 2 * mag ** 2)))
 
 
-def baseline_smoothest_field(ops, max_iters=500, tol=1e-8):
+def baseline_smoothest_field(ops):
     """Globally optimal smooth field: lowest mode of the covariant Dirichlet
     pencil, via shifted inverse power iteration on the prefactored system.
 
@@ -254,18 +240,19 @@ def baseline_smoothest_field(ops, max_iters=500, tol=1e-8):
     x = np.ones(n, dtype=complex)
     x /= np.sqrt(np.real(np.conj(x) @ (M @ x)))
     lam_old = np.inf
-    for _ in range(max_iters):
+    for _ in range(BASELINE_MAX_ITERS):
         y = lu.solve(M @ x)
         y /= np.sqrt(np.real(np.conj(y) @ (M @ y)))
         lam = np.real(np.conj(y) @ (S @ y))
         resid = np.linalg.norm(S @ y - lam * (M @ y)) / np.linalg.norm(y)
         x = y
-        if resid <= tol and abs(lam - lam_old) <= tol * max(abs(lam), 1.0):
+        if (resid <= BASELINE_TOL
+                and abs(lam - lam_old) <= BASELINE_TOL * max(abs(lam), 1.0)):
             break
         lam_old = lam
     else:
         raise RuntimeError("inverse power iteration did not converge in %d steps"
-                           % max_iters)
+                           % BASELINE_MAX_ITERS)
     rep = np.conj(x)
     conf = np.abs(rep)
     defined = conf > 1e-12 * conf.max()

@@ -32,14 +32,13 @@ class ReducedSolution:
     feasibility: float          # density-constraint violation at termination
 
 
-def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
-                  mask=None):
+def solve_reduced(mesh, kappa_bar, lam_eff, eps=1e-6, max_iters=20000, mask=None):
     """Minimize Dirichlet energy plus ``lam_eff`` times the cone mass.
 
     The potential is zero on the boundary; the density and curvature are
     coupled through the edge-midpoint Poisson row. ``lam_eff`` is the
     effective sparsity weight (callers derive it from the regularization
-    weight and fiber length).
+    weight and fiber length). The penalty starts at 1.
     """
     if lam_eff < 0:
         raise ValueError("effective sparsity weight must be nonnegative")
@@ -58,6 +57,7 @@ def solve_reduced(mesh, kappa_bar, lam_eff, nu=1.0, eps=1e-6, max_iters=20000,
     gamma = kappa_bar.copy()
     z = np.zeros(n_ie)
     phi = np.zeros(n_ie)
+    nu = 1.0
     lu = None
     lu_nu = None
     history = []

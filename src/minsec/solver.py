@@ -13,6 +13,11 @@ Laplacian sparsity and rebuilds the dense boundary Schur complement.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
+
+A solve is set by the seven :class:`SolverConfig` fields ``lam``,
+``radius``, ``degree``, ``fiber_n``, ``eps``, ``max_iters`` and ``mask``.
+Both penalties start at 1 and are adapted every iteration; the objective
+is recorded every iteration.
 """
 
 import numbers
@@ -24,9 +29,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .bundle import (TAU_BAR_VERTICAL, BoundaryData, FiberDiscretization,
-                     check_fiber, fourier_forward, fourier_inverse,
-                     make_boundary_data, make_kappa_bar)
+from .bundle import (TAU_BAR_VERTICAL, FiberDiscretization, check_fiber,
+                     fourier_forward, fourier_inverse, make_boundary_data,
+                     make_kappa_bar)
 from .mesh import build_transport
 from .operators import OperatorSet, quarter_turn
 
@@ -51,11 +56,7 @@ class SolverConfig:
     fiber_n: int = 64
     eps: float = 5e-4
     max_iters: int = 2000
-    mu: float = 1.0
-    nu: float = 1.0
-    adapt: bool = True
     mask: object = None
-    track_objective: bool = True
 
     def validate(self, n_interior_edges=None):
         """Check every value; returns ``lam`` as a float array."""
@@ -69,13 +70,10 @@ class SolverConfig:
         if lam.ndim == 1 and n_interior_edges is not None and len(lam) != n_interior_edges:
             raise ValueError("lambda field has %d entries; mesh has %d interior edges"
                              % (len(lam), n_interior_edges))
-        for name in ("eps", "mu", "nu"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite" % name)
+        if not np.isfinite(self.eps):
+            raise ValueError("eps must be finite")
         if self.eps < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.mu <= 0 or self.nu <= 0:
-            raise ValueError("penalties must be positive")
         for name in ("degree", "fiber_n", "max_iters"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
@@ -324,14 +322,8 @@ class AdmmSolver:
         self.fd = FiberDiscretization(config.fiber_n, config.radius)
         self.ops = OperatorSet.assemble(mesh, self.atlas, config.degree,
                                         config.radius, self.fd.k_max)
-        if isinstance(boundary_spec, BoundaryData):
-            if boundary_spec.k_max != self.fd.k_max:
-                raise ValueError("boundary data has k_max %d; fiber_n %d needs %d"
-                                 % (boundary_spec.k_max, config.fiber_n, self.fd.k_max))
-            self.bd = boundary_spec
-        else:
-            self.bd = make_boundary_data(self.atlas, boundary_spec, config.degree,
-                                         self.fd.k_max)
+        self.bd = make_boundary_data(self.atlas, boundary_spec, config.degree,
+                                     self.fd.k_max)
         self.kappa_bar = make_kappa_bar(self.atlas, config.degree)
         self.systems = GlobalSystems(self.ops, self.fd, self.bd)
         self.mask_cols = self.ops.cr.mask_columns([] if config.mask is None else config.mask)
@@ -455,14 +447,13 @@ class AdmmSolver:
         pt["dual"] += t3 - t2
         pt["residual"] += t4 - t3
 
-        if cfg.adapt:
-            state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu)
-            if s != 1.0:
-                state.w_h = state.w_h * s
-                state.w_v = state.w_v * s
-            state.nu, s = adapt_penalty(state.nu, r_p_nu, r_d_nu)
-            if s != 1.0:
-                state.z = state.z * s
+        state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu)
+        if s != 1.0:
+            state.w_h = state.w_h * s
+            state.w_v = state.w_v * s
+        state.nu, s = adapt_penalty(state.nu, r_p_nu, r_d_nu)
+        if s != 1.0:
+            state.z = state.z * s
 
         state.iteration += 1
         return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu])
@@ -470,7 +461,6 @@ class AdmmSolver:
     def run(self):
         cfg = self.config
         state = init_state(self.ops, self.fd, self.bd)
-        state.mu, state.nu = cfg.mu, cfg.nu
         report = ConvergenceReport(eps=cfg.eps)
         history = []
         objective = []
@@ -481,8 +471,7 @@ class AdmmSolver:
         for _ in range(cfg.max_iters):
             res = self.iterate(state)
             history.append(res)
-            if cfg.track_objective:
-                objective.append(self.objective(state))
+            objective.append(self.objective(state))
             if cfg.eps > 0 and np.all(res < cfg.eps):
                 converged = True
                 break
@@ -510,9 +499,8 @@ class AdmmSolver:
 def run_admm(mesh, config, boundary_spec="tangent", atlas=None):
     """Solve the relaxation on ``mesh``; returns a :class:`SolveResult`.
 
-    ``boundary_spec`` is ``"tangent"``, a ``vertex -> angle`` mapping (see
-    :func:`make_boundary_data`) or an already built :class:`BoundaryData`
-    whose ``k_max`` matches ``config.fiber_n``.
+    ``boundary_spec`` is ``"tangent"`` or a ``vertex -> angle`` mapping
+    covering every boundary vertex (see :func:`make_boundary_data`).
 
     Non-convergence within the iteration cap is reported in
     ``result.report.warning``, never raised; partial states remain usable

@@ -19,7 +19,7 @@ def test_validate_config_defaults(tmp_path):
     config = validate_config(str(cfg_path))
     assert config.fiber_n == 64
     assert config.epsilon == 5e-4
-    assert config.mu == 1.0 and config.nu == 1.0
+    assert not hasattr(config, "mu") and not hasattr(config, "nu")
     assert config.boundary == "tangent"
 
 
@@ -51,7 +51,8 @@ def test_validate_config_errors(tmp_path):
         validate_config(str(bad))
     for text, match in [("lambda = nan\n", "lambda must be finite"),
                         ("radius = nan\n", "radius must be finite"),
-                        ("mu = inf\n", "mu must be finite"),
+                        ("mu = 1\n", "unknown key 'mu'"),
+                        ("nu = 1\n", "unknown key 'nu'"),
                         ("epsilon = nan\n", "eps must be finite"),
                         ("epsilon = 0\n", "epsilon must be positive"),
                         ("max_iters = 0\n", "max_iters must be a positive integer"),
@@ -125,6 +126,18 @@ def test_baseline_mode_writes_field_and_frames_only(disk_obj, tmp_path):
     assert (out / "frames.txt").exists()
     assert not (out / "gamma.txt").exists()
     assert not (out / "singularities.txt").exists()
+
+
+def test_baseline_failure_exit_code(disk_obj, tmp_path, capsys, monkeypatch):
+    def fail(ops):
+        raise RuntimeError("inverse power iteration did not converge in 500 steps")
+
+    monkeypatch.setattr("minsec.cli.baseline_smoothest_field", fail)
+    code = main(["--mesh", disk_obj, "--mode", "baseline", "--degree", "4",
+                 "--out", str(tmp_path / "base")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_reduced_mode(disk_obj, tmp_path):

@@ -98,13 +98,25 @@ def test_singularities_signed_pair():
     mids = mesh.vertices[mesh.edges[mesh.interior_edges]].mean(axis=1)
     left = np.linalg.norm(mids[:, :2] - [-0.35, 0], axis=1) < 0.1
     right = np.linalg.norm(mids[:, :2] - [0.35, 0], axis=1) < 0.1
+    top = np.linalg.norm(mids[:, :2] - [0, 0.4], axis=1) < 0.1
     gamma[left] = 1.0 / np.sum(ops.cr.mass[left])
     gamma[right] = -1.0 / np.sum(ops.cr.mass[right])
+    gamma[top] = 2.0 / np.sum(ops.cr.mass[top])
     out = extract_singularities(gamma, ops, degree=1)
-    assert len(out.clusters) == 2
-    assert sorted(round(c.index, 9) for c in out.clusters) == [-1.0, 1.0]
+    assert len(out.clusters) == 3
+    assert sorted(round(c.index, 9) for c in out.clusters) == [-1.0, 1.0, 2.0]
+    masses = [abs(c.mass) for c in out.clusters]
+    assert masses == sorted(masses, reverse=True)
     for c in out.clusters:
-        assert abs(c.position[0]) > 0.2   # pair stays spatially separated
+        if abs(c.index) < 1.5:
+            assert abs(c.position[0]) > 0.2   # pair stays spatially separated
+    edge_sets = [set(c.edges.tolist()) for c in out.clusters]
+    for i in range(3):
+        for j in range(i):
+            assert not edge_sets[i] & edge_sets[j]
+    for blob in (left, right, top):
+        planted = set(mesh.interior_edges[blob].tolist())
+        assert sum(planted <= edges for edges in edge_sets) == 1
 
 
 def test_singularities_from_solve_quantized():
