@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import rowdot
+
 #: Vertical density of the reference connection form: constant 1/(2*pi),
 #: so that every fiber integrates to one.
 TAU_BAR_VERTICAL = 1.0 / (2.0 * np.pi)
@@ -145,24 +147,21 @@ class BoundaryData:
 
 
 def boundary_tangent_angles(atlas):
-    """Angle of the oriented boundary tangent in each boundary vertex frame."""
+    """Angle of the oriented boundary tangent in each boundary vertex frame,
+    aligned with ``np.concatenate(mesh.boundary_loops)``."""
     mesh = atlas.mesh
-    angles = {}
-    for loop in mesh.boundary_loops:
-        pts = mesh.vertices[loop]
-        fwd = np.roll(pts, -1, axis=0) - pts
-        bwd = pts - np.roll(pts, 1, axis=0)
-        tangent = fwd / np.linalg.norm(fwd, axis=1, keepdims=True) \
-            + bwd / np.linalg.norm(bwd, axis=1, keepdims=True)
-        for i, v in enumerate(loop):
-            t = tangent[i]
-            n = mesh.vertex_normal[v]
-            t = t - np.dot(t, n) * n
-            if np.linalg.norm(t) < 1e-12:
-                t = fwd[i] - np.dot(fwd[i], n) * n
-            e1, e2 = atlas.vertex_frame[v]
-            angles[int(v)] = float(np.arctan2(np.dot(t, e2), np.dot(t, e1)))
-    return angles
+    v, w = mesh.boundary_halfedges[:, 0], mesh.boundary_halfedges[:, 1]
+    fwd = mesh.vertices[w] - mesh.vertices[v]
+    arriving = np.zeros(len(mesh.vertices), dtype=np.int64)
+    arriving[w] = np.arange(len(w))
+    unit = fwd / np.linalg.norm(fwd, axis=1, keepdims=True)
+    tangent = unit + unit[arriving[v]]
+    n = mesh.vertex_normal[v]
+    t = tangent - rowdot(tangent, n)[:, None] * n
+    flat = np.sqrt(rowdot(t, t)) < 1e-12
+    t[flat] = (fwd - rowdot(fwd, n)[:, None] * n)[flat]
+    e1, e2 = atlas.vertex_frame[v, 0], atlas.vertex_frame[v, 1]
+    return np.arctan2(rowdot(t, e2), rowdot(t, e1))
 
 
 def make_boundary_data(atlas, spec, degree, k_max):
@@ -182,19 +181,18 @@ def make_boundary_data(atlas, spec, degree, k_max):
         Largest retained vertical frequency.
     """
     mesh = atlas.mesh
+    vertex_ids = np.concatenate(mesh.boundary_loops)
     if isinstance(spec, str):
         if spec != "tangent":
             raise ValueError("unknown boundary spec %r" % spec)
         field_angle = boundary_tangent_angles(atlas)
     else:
-        field_angle = {int(v): float(a) for v, a in dict(spec).items()}
-        missing = [int(v) for loop in mesh.boundary_loops for v in loop
-                   if int(v) not in field_angle]
+        spec = {int(v): float(a) for v, a in dict(spec).items()}
+        missing = [v for v in vertex_ids.tolist() if v not in spec]
         if missing:
             raise ValueError("boundary angles missing for vertices %s" % missing[:8])
-
-    vertex_ids = np.concatenate(mesh.boundary_loops)
-    gamma0 = np.array([np.mod(degree * field_angle[int(v)], 2 * np.pi) for v in vertex_ids])
+        field_angle = np.array([spec[v] for v in vertex_ids.tolist()])
+    gamma0 = np.mod(degree * field_angle, 2 * np.pi)
 
     k = np.arange(1, k_max + 1)
     weights = (1.0 - k / k_max) / (2.0 * np.pi * 1j * k)
@@ -202,16 +200,12 @@ def make_boundary_data(atlas, spec, degree, k_max):
 
     # winding of gamma0 along each boundary halfedge, compared in the
     # shared face frame and wrapped to the nearest representative
-    g_of = {int(v): g for v, g in zip(vertex_ids, gamma0)}
-    winding = []
-    for v, w, f, _ in mesh.boundary_halfedges():
-        tri = mesh.triangles[f]
-        jv = int(np.nonzero(tri == v)[0][0])
-        jw = int(np.nonzero(tri == w)[0][0])
-        av = g_of[v] + degree * np.angle(atlas.transport[f, jv])
-        aw = g_of[w] + degree * np.angle(atlas.transport[f, jw])
-        delta = np.mod(aw - av + np.pi, 2 * np.pi) - np.pi
-        winding.append(delta / (2 * np.pi))
+    v, w, face, _, corner = mesh.boundary_halfedges.T
+    g_at = np.zeros(len(mesh.vertices))
+    g_at[vertex_ids] = gamma0
+    av = g_at[v] + degree * np.angle(atlas.transport[face, (corner + 1) % 3])
+    aw = g_at[w] + degree * np.angle(atlas.transport[face, (corner + 2) % 3])
+    delta = np.mod(aw - av + np.pi, 2 * np.pi) - np.pi
 
     return BoundaryData(vertex_ids=vertex_ids, gamma0=gamma0, k_max=k_max,
-                        coef=coef, edge_winding=np.array(winding))
+                        coef=coef, edge_winding=delta / (2 * np.pi))

@@ -137,45 +137,39 @@ def _read_boundary_file(path, mesh):
 def _read_mask_file(path, mesh):
     """Vertex lines mask every interior edge between two listed vertices;
     two-index lines name an interior edge directly."""
-    pair_to_edge = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-    interior = set(mesh.interior_edges.tolist())
-    verts = set()
+    n_v = len(mesh.vertices)
+    keys = mesh.edges[:, 0] * n_v + mesh.edges[:, 1]     # sorted, as edges are
+    listed = np.zeros(n_v, dtype=bool)
     ids = []
     for where, parts in _records(path):
         if len(parts) == 1:
             (v,) = _parse(where, parts, (int,))
             _check_vertex(where, v, mesh)
-            verts.add(v)
+            listed[v] = True
             continue
         a, b = _parse(where, parts, (int, int))
-        eid = pair_to_edge.get(tuple(sorted((a, b))))
-        if eid not in interior:
+        lo, hi = sorted((a, b))
+        key = lo * n_v + hi if 0 <= lo and hi < n_v else -1
+        eid = min(int(np.searchsorted(keys, key)), len(keys) - 1)
+        if keys[eid] != key or mesh.edge_faces[eid, 1] < 0:
             raise ConfigError("%s: %d %d is not an interior edge of the mesh"
                               % (where, a, b))
         ids.append(eid)
-    if verts:
-        for eid in mesh.interior_edges:
-            a, b = mesh.edges[eid]
-            if a in verts and b in verts:
-                ids.append(int(eid))
-    return sorted(set(ids))
+    inside = mesh.interior_edges[listed[mesh.edges[mesh.interior_edges]].all(axis=1)]
+    return sorted(set(ids + inside.tolist()))
 
 
 def _read_lambda_field(path, mesh, base):
-    per_vertex = {}
+    per_vertex = np.full(len(mesh.vertices), np.nan)      # NaN: no line for the vertex
     for where, parts in _records(path):
         v, value = _parse(where, parts, (int, float))
         _check_vertex(where, v, mesh)
         if value < 0:
             raise ConfigError("%s: lambda must be nonnegative" % where)
         per_vertex[v] = value
-    out = np.full(len(mesh.interior_edges), base)
-    for i, eid in enumerate(mesh.interior_edges):
-        a, b = mesh.edges[eid]
-        vals = [per_vertex[v] for v in (a, b) if v in per_vertex]
-        if vals:
-            out[i] = float(np.mean(vals))
-    return out
+    a, b = per_vertex[mesh.edges[mesh.interior_edges]].T
+    mean = np.where(np.isnan(a), b, np.where(np.isnan(b), a, (a + b) / 2))
+    return np.where(np.isnan(mean), base, mean)
 
 
 def _write_rows(path, fmt, *columns):

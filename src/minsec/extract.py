@@ -208,13 +208,6 @@ def face_angle_gradient(extracted, ops):
     return mag
 
 
-def helicoid_area(radius, ratio):
-    """Closed-form area of one helical turn of height ``2*pi*radius`` over a
-    disk of radius ``ratio * radius``."""
-    k = ratio
-    return np.pi * radius ** 2 * (k * np.sqrt(1 + k * k) + np.arcsinh(k))
-
-
 def graph_area(extracted, ops, radius):
     """Area of the section graph: ``sqrt(1 + r^2 |D sigma|^2)`` integrated
     over the faces with the covariant per-face derivative."""

@@ -12,6 +12,12 @@ def _unit(v, axis=-1):
     return v / n
 
 
+def rowdot(x, y):
+    """Row-wise dot products of ``(m, 3)`` arrays, rounded as ``np.dot`` rounds
+    one pair (``einsum`` and ``(x * y).sum(1)`` sum in another order)."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 class TriMesh:
     """Indexed triangle mesh with at least one boundary loop.
 
@@ -21,7 +27,8 @@ class TriMesh:
         Vertex positions.
     triangles : (n_f, 3) array_like
         Vertex index triples, counterclockwise with respect to the
-        outward normal.
+        outward normal. The orientation must be consistent: every
+        interior edge is traversed once in each direction.
 
     Attributes
     ----------
@@ -29,15 +36,26 @@ class TriMesh:
     triangles : (n_f, 3) ndarray
     edges : (n_e, 2) ndarray
         Canonical undirected vertex pairs, sorted so ``edges[:, 0] < edges[:, 1]``.
+    face_edge : (n_f, 3) ndarray
+        Index into ``edges`` of the edge opposite each triangle corner.
     edge_faces : (n_e, 2) ndarray
         Incident face indices per edge; second entry is -1 on the boundary.
+        Of two faces, the one whose ``face_edge`` column holding the edge
+        is lower comes first, ties going to the lower face index.
     interior_edges : (n_ie,) ndarray
         Indices into ``edges`` of edges with two incident faces.
     boundary_edges : (n_be,) ndarray
         Indices into ``edges`` of edges with one incident face.
+    boundary_halfedges : (n_be, 5) ndarray
+        One row ``(v, w, face, edge, corner)`` per directed boundary edge
+        ``v -> w`` (surface on the left); ``v`` runs through
+        ``np.concatenate(boundary_loops)``. ``face`` is the edge's one
+        face, ``edge`` indexes ``edges`` and ``corner`` is the corner of
+        ``face`` opposite it, so ``v``, ``w`` sit at ``corner + 1``, ``+ 2`` (mod 3).
     boundary_loops : list of ndarray
         Ordered vertex cycles, oriented consistently with triangle
-        orientation (surface on the left).
+        orientation (surface on the left), each starting at, and
+        ordered by, its lowest vertex index.
     face_area, vertex_area, total_area
         Triangle areas, one-third incident-area vertex masses, and their sum.
     face_normal, vertex_normal
@@ -56,8 +74,7 @@ class TriMesh:
             raise MeshError("mesh has no triangles")
         self._check_distinct()
         self._build_geometry()
-        self._build_edges()
-        self._build_boundary_loops()
+        self._build_boundary_loops(self._build_edges())
 
     # -- construction ------------------------------------------------------
 
@@ -104,10 +121,13 @@ class TriMesh:
 
     def _build_edges(self):
         t = self.triangles
-        # edge j of a face is opposite its corner j
-        raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        canon = np.sort(raw, axis=1)
-        self.edges, inv = np.unique(canon, axis=0, return_inverse=True)
+        n_v, n_f = len(self.vertices), len(t)
+        # halfedge c = j * n_f + f runs tail -> head along the edge opposite corner j
+        tail = t[:, [1, 2, 0]].T.ravel()
+        head = t[:, [2, 0, 1]].T.ravel()
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        keys, inv = np.unique(lo * n_v + hi, return_inverse=True)
+        self.edges = np.column_stack([keys // n_v, keys % n_v])
         # face_edge[f, j] = global edge id opposite corner j
         self.face_edge = inv.reshape(3, -1).T.copy()
 
@@ -116,64 +136,50 @@ class TriMesh:
         if counts.max() > 2:
             raise MeshError("non-manifold edge %d (%d incident faces)"
                             % (int(np.argmax(counts)), int(counts.max())))
-        self.edge_faces = np.full((n_e, 2), -1, dtype=np.int64)
-        fill = np.zeros(n_e, dtype=np.int64)
-        face_ids = np.tile(np.arange(len(t)), 3)
-        for eid, fid in zip(inv, face_ids):
-            self.edge_faces[eid, fill[eid]] = fid
-            fill[eid] += 1
+        forward = np.bincount(inv[tail < head], minlength=n_e)
+        flipped = (counts == 2) & (forward != 1)
+        if flipped.any():
+            raise MeshError("inconsistent triangle orientation at edge %d"
+                            % np.nonzero(flipped)[0][0])
+        # halfedges grouped by edge, in halfedge order within each edge
+        by_edge = np.argsort(inv, kind="stable")
+        first = np.cumsum(counts) - counts
         self.interior_edges = np.nonzero(counts == 2)[0]
         self.boundary_edges = np.nonzero(counts == 1)[0]
-        self.is_boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
+        self.edge_faces = np.full((n_e, 2), -1, dtype=np.int64)
+        self.edge_faces[:, 0] = by_edge[first] % n_f
+        self.edge_faces[self.interior_edges, 1] = by_edge[first[self.interior_edges] + 1] % n_f
+        self.is_boundary_vertex = np.zeros(n_v, dtype=bool)
         self.is_boundary_vertex[self.edges[self.boundary_edges].ravel()] = True
+        return by_edge[first[self.boundary_edges]]
 
-    def _build_boundary_loops(self):
+    def _build_boundary_loops(self, halfedge):
+        """Walk boundary halfedges (ids from :meth:`_build_edges`) into loops."""
         if len(self.boundary_edges) == 0:
             raise MeshError("no boundary loop (closed surfaces are not supported)")
-        t = self.triangles
-        # directed boundary halfedges a->b follow face orientation (face on the left)
-        nxt = {}
-        self._boundary_halfedge_face = {}
-        for eid in self.boundary_edges:
-            f = self.edge_faces[eid, 0]
-            j = int(np.nonzero(self.face_edge[f] == eid)[0][0])
-            a, b = int(t[f, (j + 1) % 3]), int(t[f, (j + 2) % 3])
-            if a in nxt:
-                raise MeshError("non-manifold boundary vertex %d" % a)
-            nxt[a] = b
-            self._boundary_halfedge_face[(a, b)] = (int(f), eid)
-        self.boundary_loops = []
-        seen = set()
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            loop = [start]
-            seen.add(start)
-            cur = nxt[start]
-            while cur != start:
-                loop.append(cur)
-                seen.add(cur)
-                cur = nxt[cur]
-            self.boundary_loops.append(np.array(loop, dtype=np.int64))
+        corner, face = np.divmod(halfedge, len(self.triangles))
+        v = self.triangles[face, (corner + 1) % 3]
+        w = self.triangles[face, (corner + 2) % 3]
+        _, once = np.unique(v, return_index=True)
+        if len(once) < len(v):
+            raise MeshError("non-manifold boundary vertex %d"
+                            % v[np.setdiff1d(np.arange(len(v)), once)[0]])
+        leaving = np.zeros(len(self.vertices), dtype=np.int64)
+        leaving[v] = np.arange(len(v))
+        walk, starts = [], []
+        visited = np.zeros(len(v), dtype=bool)
+        for row in leaving[np.sort(v)]:
+            if not visited[row]:
+                starts.append(len(walk))
+            while not visited[row]:
+                visited[row] = True
+                walk.append(row)
+                row = leaving[w[row]]
+        table = np.column_stack([v, w, face, self.boundary_edges, corner])
+        self.boundary_halfedges = table[walk]
+        self.boundary_loops = np.split(self.boundary_halfedges[:, 0], starts[1:])
 
     # -- queries -----------------------------------------------------------
-
-    def boundary_halfedges(self):
-        """Directed boundary edges in loop order.
-
-        Returns
-        -------
-        list of (v, w, face, edge_id)
-            One entry per boundary edge, traversed with the surface on
-            the left, concatenated loop by loop.
-        """
-        out = []
-        for loop in self.boundary_loops:
-            for i in range(len(loop)):
-                v, w = int(loop[i]), int(loop[(i + 1) % len(loop)])
-                f, eid = self._boundary_halfedge_face[(v, w)]
-                out.append((v, w, f, eid))
-        return out
 
     def euler_characteristic(self):
         return len(self.vertices) - len(self.edges) + len(self.triangles)
@@ -230,8 +236,6 @@ class TransportAtlas:
         Angle defect divided by vertex area. Interior vertices use the
         flat reference 2*pi; boundary vertices use pi, so flat-disk
         boundaries carry zero curvature.
-    edge_curvature : (n_e,) ndarray
-        Unweighted mean of the endpoint curvatures.
     """
 
     def __init__(self, mesh, vertex_frame, face_frame, transport):
@@ -247,8 +251,6 @@ class TransportAtlas:
         np.add.at(angle_sum, mesh.triangles.ravel(), mesh.corner_angle.ravel())
         reference = np.where(mesh.is_boundary_vertex, np.pi, 2.0 * np.pi)
         self.vertex_curvature = (reference - angle_sum) / mesh.vertex_area
-        kv = self.vertex_curvature
-        self.edge_curvature = 0.5 * (kv[mesh.edges[:, 0]] + kv[mesh.edges[:, 1]])
 
 
 def _principal_rotations(n_from, n_to):
@@ -300,24 +302,19 @@ def build_transport(mesh, frame_rotation=None):
     t = mesh.triangles
     p = mesh.vertices
 
-    vertex_e1 = np.zeros((nv, 3))
-    assigned = np.zeros(nv, dtype=bool)
-    order_v = t.ravel()
-    order_next = t[:, [1, 2, 0]].ravel()
-    for a, b in zip(order_v, order_next):
-        if assigned[a]:
-            continue
-        n = mesh.vertex_normal[a]
-        e = p[b] - p[a]
-        e = e - np.dot(e, n) * n
-        ln = np.linalg.norm(e)
-        if ln < 1e-14:
-            continue
-        vertex_e1[a] = e / ln
-        assigned[a] = True
-    if not assigned.all():
-        raise MeshError("cannot build a frame at vertex %d: all incident edges "
-                        "project to zero" % np.nonzero(~assigned)[0][0])
+    # every corner's outgoing edge, projected; each vertex takes its first usable one
+    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+    n = mesh.vertex_normal[a]
+    e = p[b] - p[a]
+    e = e - rowdot(e, n)[:, None] * n
+    ln = np.sqrt(rowdot(e, e))
+    usable = np.nonzero(~(ln < 1e-14))[0]
+    framed, first = np.unique(a[usable], return_index=True)
+    if len(framed) < nv:
+        raise MeshError("cannot build a frame at vertex %d: all incident edges project "
+                        "to zero" % np.setdiff1d(np.arange(nv), framed)[0])
+    pick = usable[first]
+    vertex_e1 = e[pick] / ln[pick][:, None]
     if frame_rotation is not None:
         ang = np.asarray(frame_rotation, dtype=np.float64)
         e2 = np.cross(mesh.vertex_normal, vertex_e1)
@@ -328,11 +325,9 @@ def build_transport(mesh, frame_rotation=None):
     face_frame = np.stack([face_e1, np.cross(mesh.face_normal, face_e1)], axis=1)
 
     # transport coefficient per corner: 2x2 block of F_T R_{a->T} F_a^T
-    corner_v = t.ravel()
-    n_from = mesh.vertex_normal[corner_v]
     n_to = np.repeat(mesh.face_normal, 3, axis=0)
-    R = _principal_rotations(n_from, n_to)
-    Fa = vertex_frame[corner_v]                      # (3 n_f, 2, 3)
+    R = _principal_rotations(n, n_to)
+    Fa = vertex_frame[a]                             # (3 n_f, 2, 3)
     Ft = np.repeat(face_frame, 3, axis=0)
     M = np.einsum("cij,cjk,clk->cil", Ft, R, Fa)     # (3 n_f, 2, 2)
     u = 0.5 * (M[:, 0, 0] + M[:, 1, 1])

@@ -169,12 +169,10 @@ def assemble_boundary_rows(mesh, atlas):
 
     Applied to a per-face 2-vector field (raveled ``(n_f, 2)``), it
     integrates the field along each boundary edge (surface on the left).
-    Row order matches ``TriMesh.boundary_halfedges()``.
+    Row order matches ``TriMesh.boundary_halfedges``.
     """
-    halfedges = mesh.boundary_halfedges()
-    face = np.array([f for _, _, f, _ in halfedges], dtype=np.int64)
-    vw = np.array([(v, w) for v, w, _, _ in halfedges], dtype=np.int64)
-    vec3 = mesh.vertices[vw[:, 1]] - mesh.vertices[vw[:, 0]]
+    v, w, face = mesh.boundary_halfedges[:, :3].T
+    vec3 = mesh.vertices[w] - mesh.vertices[v]
     edge_vec = np.einsum("bij,bj->bi", atlas.face_frame[face], vec3)
     n_be = len(face)
     rows = np.repeat(np.arange(n_be), 2)

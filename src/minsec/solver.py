@@ -218,7 +218,7 @@ class GlobalSystems:
         is_b[self.b_vertices] = True
         self.interior = np.nonzero(~is_b)[0]
         self.pin = int(self.b_vertices.min())
-        self.free0 = np.array([v for v in range(n_v) if v != self.pin], dtype=np.int64)
+        self.free0 = np.delete(np.arange(n_v), self.pin)
 
         self._freq = {}
         for k in range(1, fd.k_max + 1):

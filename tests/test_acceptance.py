@@ -186,7 +186,7 @@ def test_criterion_6_operator_property_suite():
             total = np.ones(cr.laplacian.shape[0]) @ (
                 cr.gradient.T @ (area2 * quarter_turn(v).ravel()))
             circ = 0.0
-            for vtx, w, fid, _ in mesh.boundary_halfedges():
+            for vtx, w, fid, *_ in mesh.boundary_halfedges:
                 circ += np.dot(v[fid], atlas.face_frame[fid]
                                @ (mesh.vertices[w] - mesh.vertices[vtx]))
             if abs(total - circ) > 1e-10 * max(1, abs(circ)):

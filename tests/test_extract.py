@@ -4,8 +4,7 @@ import pytest
 import meshgen
 from minsec.extract import (baseline_smoothest_field, concentration_cdf,
                             extract_field, extract_singularities,
-                            face_angle_gradient, fiber_w2, graph_area,
-                            helicoid_area)
+                            face_angle_gradient, fiber_w2, graph_area)
 from minsec.mesh import build_transport
 from minsec.solver import AdmmSolver, SolverConfig, init_state, run_admm
 
@@ -236,15 +235,6 @@ def test_graph_area_constant_field():
     mag = face_angle_gradient(out, solver.ops)
     np.testing.assert_allclose(mag, 0.0, atol=1e-9)
     assert graph_area(out, solver.ops, radius=1.0) == pytest.approx(mesh.total_area, rel=1e-9)
-
-
-def test_helicoid_closed_form_vs_quadrature():
-    # surface (rho cos t, rho sin t, r t): area integrand sqrt(rho^2 + r^2)
-    from scipy.integrate import quad
-    for r, k in ((1.0, 1.0), (0.5, 2.0)):
-        oracle = 2 * np.pi * quad(lambda rho: np.sqrt(rho ** 2 + r ** 2), 0, k * r)[0]
-        assert helicoid_area(r, k) == pytest.approx(oracle, rel=1e-10)
-    assert helicoid_area(1.0, 1.0) == pytest.approx(np.pi * (np.sqrt(2) + np.arcsinh(1.0)), rel=1e-12)
 
 
 def test_graph_area_index_one_annulus():

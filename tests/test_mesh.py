@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import meshgen
+from minsec.cli import main
 from minsec.mesh import MeshError, TriMesh, build_transport, load_mesh
 from minsec.operators import OperatorSet
 
@@ -38,6 +41,32 @@ def test_nonmanifold_edge_rejected():
         TriMesh(verts, tris)
 
 
+def _reverse_face(mesh, n_boundary, nth):
+    """Vertices and triangles of ``mesh`` with the ``nth`` face that has
+    ``n_boundary`` boundary vertices listed clockwise."""
+    tris = mesh.triangles.copy()
+    f = np.nonzero(mesh.is_boundary_vertex[tris].sum(axis=1) == n_boundary)[0][nth]
+    tris[f] = tris[f, ::-1]
+    return mesh.vertices, tris
+
+
+def test_inconsistent_orientation_rejected(tmp_path, capsys):
+    # an interior face reversed: without the check this mesh solves to a wrong field
+    cap = _reverse_face(meshgen.spherical_cap(6), n_boundary=0, nth=3)
+    # a face with a boundary edge reversed: without it, a misleading boundary error
+    disk = _reverse_face(meshgen.disk(5, area=1), n_boundary=2, nth=0)
+    for verts, tris in (cap, disk):
+        with pytest.raises(MeshError, match="inconsistent triangle orientation at edge"):
+            TriMesh(verts, tris)
+    path = tmp_path / "flipped.obj"
+    meshgen.write_obj(path, SimpleNamespace(vertices=cap[0], triangles=cap[1]))
+    code = main(["--mesh", str(path), "--degree", "4", "--fiber-n", "16",
+                 "--max-iters", "100", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: inconsistent triangle orientation")
+
+
 def test_degenerate_triangle_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]]
     tris = [[0, 1, 2], [0, 1, 3]]  # second triangle has zero area
@@ -65,6 +94,41 @@ def test_boundary_loop_orientation():
     pts = mesh.vertices[loop][:, :2]
     signed = 0.5 * np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
     assert signed > 0
+
+
+def test_boundary_halfedge_table():
+    annulus, rect = meshgen.annulus(4), meshgen.rectangle()
+    assert len(annulus.boundary_loops) == 2
+    for mesh in (annulus, rect):
+        table = mesh.boundary_halfedges
+        v, w, face, edge, corner = table.T
+        np.testing.assert_array_equal(np.sort(edge), mesh.boundary_edges)
+        # rows chain within each loop and wrap at the loop's end
+        start = 0
+        for loop in mesh.boundary_loops:
+            rows = table[start:start + len(loop)]
+            np.testing.assert_array_equal(rows[:, 0], loop)
+            np.testing.assert_array_equal(rows[:, 1], np.roll(loop, -1))
+            start += len(loop)
+        assert start == len(table)
+        # v -> w runs counterclockwise in face, along the edge opposite corner
+        tri = mesh.triangles[face]
+        i = np.arange(len(table))
+        np.testing.assert_array_equal(tri[i, (corner + 1) % 3], v)
+        np.testing.assert_array_equal(tri[i, (corner + 2) % 3], w)
+        np.testing.assert_array_equal(mesh.face_edge[face, corner], edge)
+        np.testing.assert_array_equal(mesh.edges[edge], np.sort(table[:, :2], axis=1))
+        np.testing.assert_array_equal(mesh.edge_faces[edge, 0], face)
+        # every edge_faces entry contains its edge, filled in face_edge column-major order
+        eid, side = np.nonzero(mesh.edge_faces >= 0)
+        assert (mesh.face_edge[mesh.edge_faces[eid, side]] == eid[:, None]).any(axis=1).all()
+        expected = [[] for _ in mesh.edges]
+        for j in range(3):
+            for f, e in enumerate(mesh.face_edge[:, j]):
+                expected[e].append(f)
+        np.testing.assert_array_equal(mesh.edge_faces, [fs + [-1] * (2 - len(fs)) for fs in expected])
+    # the rectangle's corner faces carry two boundary edges
+    assert np.bincount(rect.boundary_halfedges[:, 2]).max() == 2
 
 
 def test_planar_transport_is_identity():
@@ -165,16 +229,6 @@ def test_gauss_bonnet():
         turning = np.sum((np.pi - angle_sum)[mesh.is_boundary_vertex])
         chi = mesh.euler_characteristic()
         assert total_curv + turning == pytest.approx(2 * np.pi * chi, abs=1e-8)
-
-
-def test_edge_curvature_between_endpoints():
-    mesh = meshgen.spherical_cap(6)
-    atlas = build_transport(mesh)
-    kv = atlas.vertex_curvature
-    lo = np.minimum(kv[mesh.edges[:, 0]], kv[mesh.edges[:, 1]])
-    hi = np.maximum(kv[mesh.edges[:, 0]], kv[mesh.edges[:, 1]])
-    assert np.all(atlas.edge_curvature >= lo - 1e-15)
-    assert np.all(atlas.edge_curvature <= hi + 1e-15)
 
 
 def _transport_power(atlas, k, degree):

@@ -192,7 +192,7 @@ def test_discrete_stokes_circulation():
     total_curl = np.ones(cr.laplacian.shape[0]) @ (cr.gradient.T @ (area2 * quarter_turn(v).ravel()))
     # brute-force circulation oracle straight from positions
     circ = 0.0
-    for vtx, w, f, _ in mesh.boundary_halfedges():
+    for vtx, w, f, *_ in mesh.boundary_halfedges:
         e3 = mesh.vertices[w] - mesh.vertices[vtx]
         e2d = atlas.face_frame[f] @ e3
         circ += np.dot(v[f], e2d)
@@ -223,7 +223,7 @@ def test_boundary_rows_match_circulation():
     def circulation(v):
         # brute-force per-edge line integrals straight from positions
         return np.array([np.dot(v[f], atlas.face_frame[f] @ (mesh.vertices[w] - mesh.vertices[a]))
-                         for a, w, f, _ in mesh.boundary_halfedges()])
+                         for a, w, f, *_ in mesh.boundary_halfedges])
 
     v = rng.standard_normal((len(mesh.triangles), 2))
     assert rows @ v.ravel() == pytest.approx(circulation(v), rel=1e-12)
