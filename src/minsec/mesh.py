@@ -7,11 +7,6 @@ class MeshError(ValueError):
     """Raised when an input mesh violates a structural precondition."""
 
 
-def _unit(v, axis=-1):
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
-    return v / n
-
-
 def rowdot(x, y):
     """Row-wise dot products of ``(m, 3)`` arrays, rounded as ``np.dot`` rounds
     one pair (``einsum`` and ``(x * y).sum(1)`` sum in another order)."""
@@ -70,6 +65,8 @@ class TriMesh:
         if self.triangles.size and self.triangles.max() >= len(self.vertices):
             raise MeshError("triangle references vertex %d beyond vertex count %d"
                             % (self.triangles.max(), len(self.vertices)))
+        if self.triangles.size and self.triangles.min() < 0:
+            raise MeshError("triangle references negative vertex %d" % self.triangles.min())
         if len(self.triangles) == 0:
             raise MeshError("mesh has no triangles")
         self._check_distinct()
@@ -210,6 +207,9 @@ def load_mesh(path):
                     if not first:
                         raise MeshError("%s:%d: malformed face record" % (path, lineno))
                     i = int(first)
+                    if i == 0 or len(vertices) + i < 0:
+                        raise MeshError("%s:%d: face index %d out of range (%d vertices read)"
+                                        % (path, lineno, i, len(vertices)))
                     idx.append(i - 1 if i > 0 else len(vertices) + i)
                 if len(idx) != 3:
                     raise MeshError("%s:%d: face has %d vertices; only triangles are supported"
@@ -253,34 +253,16 @@ class TransportAtlas:
         self.vertex_curvature = (reference - angle_sum) / mesh.vertex_area
 
 
-def _principal_rotations(n_from, n_to):
-    """Minimal rotations taking unit vectors ``n_from`` onto ``n_to`` (Rodrigues)."""
-    axis = np.cross(n_from, n_to)
-    s = np.linalg.norm(axis, axis=-1)
-    c = np.einsum("...i,...i->...", n_from, n_to)
-    if np.any(c < -0.999999):
-        raise MeshError("vertex and face normals are antipodal; mesh is badly folded")
-    # R = I + [axis]_x + [axis]_x^2 / (1 + c), stable for small angles
-    K = np.zeros(n_from.shape[:-1] + (3, 3))
-    K[..., 0, 1] = -axis[..., 2]
-    K[..., 0, 2] = axis[..., 1]
-    K[..., 1, 0] = axis[..., 2]
-    K[..., 1, 2] = -axis[..., 0]
-    K[..., 2, 0] = -axis[..., 1]
-    K[..., 2, 1] = axis[..., 0]
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + K + np.einsum("...ij,...jk->...ik", K, K) / (1.0 + c)[..., None, None]
-
-
 def build_transport(mesh, frame_rotation=None):
     """Construct frames and unit-complex parallel transport for ``mesh``.
 
     The vertex frame's first axis is the first incident edge (in face scan
     order) projected to the tangent plane of the area-weighted vertex
     normal; the face frame's first axis is the first triangle edge. The
-    transport coefficient for corner j of face T is read off from the 2x2
-    matrix of the principal rotation between the two frames, which is a
-    rotation matrix [[u, -v], [v, u]] mapped to u + iv.
+    transport coefficient for corner j of face T is ``u + iv``, where
+    ``(u, v)`` are the face-frame coordinates of the vertex frame's first
+    axis turned by the principal (minimal) rotation taking the vertex
+    normal onto the face normal.
 
     Parameters
     ----------
@@ -321,18 +303,23 @@ def build_transport(mesh, frame_rotation=None):
         vertex_e1 = np.cos(ang)[:, None] * vertex_e1 + np.sin(ang)[:, None] * e2
     vertex_frame = np.stack([vertex_e1, np.cross(mesh.vertex_normal, vertex_e1)], axis=1)
 
-    face_e1 = _unit(p[t[:, 1]] - p[t[:, 0]])
+    face_e1 = p[t[:, 1]] - p[t[:, 0]]
+    face_e1 = face_e1 / np.linalg.norm(face_e1, axis=-1, keepdims=True)
     face_frame = np.stack([face_e1, np.cross(mesh.face_normal, face_e1)], axis=1)
 
-    # transport coefficient per corner: 2x2 block of F_T R_{a->T} F_a^T
+    # transport coefficient per corner: turn e1 = F_a[0] by the Rodrigues
+    # rotation R = I + [axis]_x + [axis]_x^2 / (1 + c) taking n_a onto n_T,
+    # using [axis]_x^2 e1 = axis (axis . e1) - (1 - c^2) e1 for unit normals
     n_to = np.repeat(mesh.face_normal, 3, axis=0)
-    R = _principal_rotations(n, n_to)
-    Fa = vertex_frame[a]                             # (3 n_f, 2, 3)
+    axis = np.cross(n, n_to)
+    c = rowdot(n, n_to)
+    if np.any(c < -0.999999):
+        raise MeshError("vertex and face normals are antipodal; mesh is badly folded")
+    e1 = vertex_e1[a]
+    turned = (c[:, None] * e1 + np.cross(axis, e1)
+              + axis * (rowdot(axis, e1) / (1.0 + c))[:, None])
     Ft = np.repeat(face_frame, 3, axis=0)
-    M = np.einsum("cij,cjk,clk->cil", Ft, R, Fa)     # (3 n_f, 2, 2)
-    u = 0.5 * (M[:, 0, 0] + M[:, 1, 1])
-    v = 0.5 * (M[:, 1, 0] - M[:, 0, 1])
-    coeff = u + 1j * v
+    coeff = rowdot(turned, Ft[:, 0]) + 1j * rowdot(turned, Ft[:, 1])
     coeff /= np.abs(coeff)
     return TransportAtlas(mesh, vertex_frame, face_frame, coeff.reshape(len(t), 3))
 

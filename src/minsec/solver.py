@@ -9,7 +9,8 @@ per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built. The edge-midpoint Laplacian is
 factored, and solved against the boundary rows, at the first saddle
 build; after that a penalty change refactors only one block with
-Laplacian sparsity and rebuilds the dense boundary Schur complement.
+Laplacian sparsity and rebuilds the dense boundary Schur complement;
+each saddle solve back-substitutes through the sparse factors.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
@@ -198,12 +199,13 @@ class GlobalSystems:
     product form ``K2 = Lc M^-1 A`` with ``A = mu*ell*M + nu*Lc``, so
     ``K2^-1 = A^-1 M Lc^-1``. The boundary rows are ``C1 = B G_fem`` and
     ``C2 = B J G_cr`` (``B`` the circulation matrix, ``J`` the per-face
-    quarter turn). The constructor factors the per-frequency
-    systems and the conforming block and forms its boundary columns. The
-    first :meth:`refactor` factors ``Lc`` and forms the penalty-free
-    columns ``M Lc^-1 C2^T``; every build, the first included, factors
-    ``A`` and rebuilds the Schur complement. ``builds`` and
-    ``build_seconds`` count and time those builds.
+    quarter turn). The constructor factors the per-frequency systems and
+    the conforming block and forms ``S1 = C1 L0^-1 C1^T``. The first
+    :meth:`refactor` factors ``Lc`` and forms ``W2 = M Lc^-1 C2^T``; every
+    build, the first included, factors ``A`` and the Schur complement
+    ``S1/(mu*ell) + C2 A^-1 W2``. ``S1``, ``W2`` and the factors are all
+    that is stored: :meth:`solve_zero` back-substitutes through them.
+    ``builds`` and ``build_seconds`` count and time the builds.
     """
 
     def __init__(self, ops, fd, boundary_data):
@@ -237,10 +239,8 @@ class GlobalSystems:
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
-        C1f = self._C1[:, self.free0]
-        # columns of L0_ff^{-1} C1f^T, reused in every Schur rebuild
-        self._Z1 = self._lu0.solve(C1f.T.toarray())
-        self._S1 = C1f @ self._Z1                       # C1 L0^{-1} C1^T
+        self._C1f = C1f = self._C1[:, self.free0]
+        self._S1 = C1f @ self._lu0.solve(C1f.T.toarray())   # C1 L0^{-1} C1^T
         self._lu_lc = None
         self._mu = None
         self._nu = None
@@ -259,8 +259,7 @@ class GlobalSystems:
             # M Lc^{-1} C2^T, reused in every Schur rebuild
             self._W2 = cr.mass[:, None] * self._lu_lc.solve(self._C2.T.toarray())
         self._lu_a = splu(cr.shifted_laplacian(mu * ell, nu))
-        self._Z2 = self._lu_a.solve(self._W2)           # K2^{-1} C2^T
-        S = self._S1 / (mu * ell) + self._C2 @ self._Z2
+        S = self._S1 / (mu * ell) + self._C2 @ self._lu_a.solve(self._W2)
         lu, piv = sla.lu_factor(S)
         diag = np.abs(np.diag(lu))
         if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
@@ -287,14 +286,19 @@ class GlobalSystems:
         operator, coupled by the boundary circulation rows equal to ``g0``.
         """
         mu_ell = self._mu * self.fd.length
+        C1f, C2 = self._C1f, self._C2
+
+        def solve1(r):                                  # (mu*ell*L0_ff)^{-1} r
+            return self._lu0.solve(r) / mu_ell
+
+        def solve2(r):                                  # K2^{-1} r = A^{-1} M Lc^{-1} r
+            return self._lu_a.solve(self.ops.cr.mass * self._lu_lc.solve(r))
+
         r1 = rhs1[self.free0]
-        y1 = self._lu0.solve(r1) / mu_ell
-        y2 = self._lu_a.solve(self.ops.cr.mass * self._lu_lc.solve(rhs2))
-        rhs_beta = self._C1[:, self.free0] @ y1 + self._C2 @ y2 - g0
-        beta = sla.lu_solve(self._schur, rhs_beta)
+        beta = sla.lu_solve(self._schur, C1f @ solve1(r1) + C2 @ solve2(rhs2) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
-        f0[self.free0] = y1 - self._Z1 @ beta / mu_ell
-        phi = y2 - self._Z2 @ beta
+        f0[self.free0] = solve1(r1 - C1f.T @ beta)
+        phi = solve2(rhs2 - C2.T @ beta)
         return f0, phi, beta
 
     def kkt_residual(self, f0, phi, beta, rhs1, rhs2, g0):
@@ -481,14 +485,12 @@ class AdmmSolver:
         report.saddle_builds = self.systems.builds - builds0
         report.converged = converged
         report.iterations = state.iteration
-        report.residuals = history[-1] if history else np.full(4, np.nan)
+        report.residuals = history[-1]
         report.residual_history = np.array(history)
         report.objective_history = np.array(objective)
         report.timings = timings
-        if history:
-            f0, phi, beta, rhs1, rhs2 = self._last_zero
-            report.kkt_residual = self.systems.kkt_residual(
-                f0, phi, beta, rhs1, rhs2, self._g0)
+        f0, phi, beta, rhs1, rhs2 = self._last_zero
+        report.kkt_residual = self.systems.kkt_residual(f0, phi, beta, rhs1, rhs2, self._g0)
         if not converged:
             report.warning = "iteration cap %d reached before eps=%g" % (
                 cfg.max_iters, cfg.eps)

@@ -74,11 +74,35 @@ def test_degenerate_triangle_rejected():
         TriMesh(verts, tris)
 
 
-def test_obj_parse_failure(tmp_path):
+def test_obj_parse_failure(tmp_path, capsys):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3 4\n")
     with pytest.raises(MeshError, match="triangles"):
         load_mesh(path)
+
+    # face index 0, and negative indices reaching before the first vertex
+    disk = meshgen.disk(5, area=1)
+    n_v = len(disk.vertices)
+    v_lines = ["v %.17g %.17g %.17g\n" % tuple(p) for p in disk.vertices]
+    f_lines = ["f %d %d %d\n" % tuple(t + 1) for t in disk.triangles]
+    wrapped = ["f %d %d %d\n" % tuple(t - 2 * n_v) for t in disk.triangles]
+    cases = [(v_lines + wrapped, n_v + 1, -2 * n_v + disk.triangles[0, 0]),
+             (v_lines + ["f -101 54 53\n"] + f_lines, n_v + 1, -101),
+             (["f 0 2 3\n"] + v_lines + f_lines, 1, 0)]
+    for k, (lines, lineno, index) in enumerate(cases):
+        path = tmp_path / ("index%d.obj" % k)
+        path.write_text("".join(lines))
+        with pytest.raises(MeshError, match=r"%s:%d: face index %d out of range"
+                           % (path.name, lineno, index)):
+            load_mesh(path)
+    with pytest.raises(MeshError, match="negative vertex"):
+        TriMesh(disk.vertices, disk.triangles - n_v)
+
+    code = main(["--mesh", str(tmp_path / "index0.obj"), "--degree", "4", "--fiber-n", "16",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "out of range" in err[0]
 
 
 def test_area_bookkeeping():
@@ -157,6 +181,29 @@ def test_planar_rotated_frames_transport():
     rot = build_transport(mesh, frame_rotation=alpha)
     expected = base.transport * np.exp(1j * alpha)[mesh.triangles]
     np.testing.assert_allclose(rot.transport, expected, atol=1e-10)
+
+
+def test_transport_matches_rotation_matrix():
+    # oracle: the full Rodrigues matrix R = I + [a]_x + [a]_x^2 / (1 + c)
+    # taking the vertex normal onto the face normal; the 2x2 block of
+    # F_T R F_a^T is a rotation [[u, -v], [v, u]], read off as u + iv
+    rng = np.random.default_rng(11)
+    for mesh in (meshgen.spherical_cap(6), meshgen.saddle(6)):
+        atlas = build_transport(mesh, frame_rotation=rng.uniform(-np.pi, np.pi,
+                                                                  len(mesh.vertices)))
+        expected = np.empty(mesh.triangles.shape, dtype=complex)
+        for f, tri in enumerate(mesh.triangles):
+            n_t = mesh.face_normal[f]
+            for j, a in enumerate(tri):
+                n_a = mesh.vertex_normal[a]
+                ax = np.cross(n_a, n_t)
+                K = np.array([[0.0, -ax[2], ax[1]], [ax[2], 0.0, -ax[0]],
+                              [-ax[1], ax[0], 0.0]])
+                R = np.eye(3) + K + K @ K / (1.0 + n_a @ n_t)
+                M = atlas.face_frame[f] @ R @ atlas.vertex_frame[a].T
+                rho = complex(M[0, 0] + M[1, 1], M[1, 0] - M[0, 1])
+                expected[f, j] = rho / abs(rho)
+        np.testing.assert_allclose(atlas.transport, expected, rtol=0, atol=1e-15)
 
 
 def test_planar_interior_curvature_zero():

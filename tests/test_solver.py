@@ -175,6 +175,12 @@ def test_saddle_refactor_penalty_pairs(mesh):
             f0, phi, beta = systems.solve_zero(rhs1, rhs2, g0)
             assert systems.kkt_residual(f0, phi, beta, rhs1, rhs2, g0) <= 1e-9
     assert systems.builds == 5
+    # f0 and phi come from sparse back-substitution: the only dense block
+    # taller than the boundary is the penalty-free M Lc^-1 C2^T
+    n_be = len(solver._g0)
+    tall = [name for name, value in vars(systems).items()
+            if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] > n_be]
+    assert tall == ["_W2"]
 
 
 def test_boundary_fiber_reconstruction_is_fejer():
