@@ -1,4 +1,5 @@
-"""Fiber sampling, the solver's vertical Fourier transform, and circle-bundle boundary data."""
+"""Fiber sampling, the solver's vertical Fourier transform (numpy's real FFT
+with the Nyquist bin dropped), and circle-bundle boundary data."""
 
 from dataclasses import dataclass
 
@@ -58,33 +59,29 @@ class FiberDiscretization:
 def fourier_forward(samples, k_max):
     """Coefficients ``c_k = (1/N) sum_m x_m e^{-ik theta_m}`` for ``k = 0..k_max``.
 
-    ``samples`` holds values on the uniform fiber grid along the last axis;
-    the result replaces that axis by ``k_max + 1`` complex coefficients.
-    Real samples have ``c_{-k} = conj(c_k)``, so these one-sided
-    coefficients are the form in which the solver stores sections.
+    ``samples`` holds real values on the uniform fiber grid along the last
+    axis; their real FFT, cut to ``k_max + 1`` complex coefficients (the
+    Nyquist bin is dropped), replaces that axis. Real samples have
+    ``c_{-k} = conj(c_k)``: these one-sided coefficients store sections.
     """
     x = np.asarray(samples)
     n = x.shape[-1]
     if n <= 2 * k_max:
         raise ValueError("need more than 2*k_max samples, got %d for k_max=%d"
                          % (n, k_max))
-    theta = 2.0 * np.pi * np.arange(n) / n
-    k = np.arange(k_max + 1)
-    basis = np.exp(-1j * np.outer(theta, k)) / n       # (n, K+1)
-    return x @ basis
+    return np.fft.rfft(x, norm="forward")[..., :k_max + 1]
 
 
 def fourier_inverse(coeffs, n):
     """Real samples ``Re(c_0 + 2 sum_{k>0} c_k e^{ik theta_m})`` on the ``n``-point grid.
 
-    Inverts :func:`fourier_forward` on real signals band-limited to ``k_max``.
+    Inverts :func:`fourier_forward` on real signals band-limited to ``k_max``;
+    ``irfft`` zero-pads through the unused Nyquist bin, so ``k < n/2`` only.
     """
     c = np.asarray(coeffs)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    k = np.arange(c.shape[-1])
-    basis = np.exp(1j * np.outer(k, theta))            # (K+1, n)
-    basis[1:] *= 2.0
-    return (c @ basis).real
+    if c.shape[-1] > n // 2:
+        raise ValueError("need at most n/2 coefficients, got %d for n=%d" % (c.shape[-1], n))
+    return np.fft.irfft(c, n, norm="forward")
 
 
 def fejer_delta(gamma0, k_max, theta):

@@ -8,9 +8,9 @@ Corner samples and the one-sided vertical coefficients meet only through
 per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built. The edge-midpoint Laplacian is
 factored, and solved against the boundary rows, at the first saddle
-build; after that a penalty change refactors only one block with
-Laplacian sparsity and rebuilds the dense boundary Schur complement;
-each saddle solve back-substitutes through the sparse factors.
+build; a penalty change refactors one block with Laplacian sparsity,
+and the dense boundary Schur complement once per penalty ratio; each
+saddle solve back-substitutes through the sparse factors.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
@@ -143,10 +143,14 @@ def init_state(ops, fd, boundary_data):
     )
 
 
+def metric_sq(h, v, radius):
+    """Squared bundle metric ``|h|^2 + v^2 / r^2``; axis 1 of ``h`` holds the 2-vector."""
+    return np.einsum("cd...,cd...->c...", h, h) + v * v / radius ** 2
+
+
 def sample_density(state, radius):
     """Bundle-metric norm ``sqrt(|sigma_h|^2 + sigma_v^2 / r^2)`` of each sample."""
-    return np.sqrt(np.einsum("cdm,cdm->cm", state.sigma_h, state.sigma_h)
-                   + state.sigma_v ** 2 / radius ** 2)
+    return np.sqrt(metric_sq(state.sigma_h, state.sigma_v, radius))
 
 
 def local_step_sigma(hat_h, hat_v, mu, radius):
@@ -157,7 +161,7 @@ def local_step_sigma(hat_h, hat_v, mu, radius):
     deadzone. Axis 1 of ``hat_h`` holds the 2-vector.
     """
     v = np.maximum(hat_v, 0.0)
-    norm = np.sqrt((hat_h * hat_h).sum(axis=1) + v * v / (radius * radius))
+    norm = np.sqrt(metric_sq(hat_h, v, radius))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norm > 0, np.maximum(1.0 - 1.0 / (mu * norm), 0.0), 0.0)
     return np.expand_dims(scale, 1) * hat_h, scale * v
@@ -202,10 +206,11 @@ class GlobalSystems:
     quarter turn). The constructor factors the per-frequency systems and
     the conforming block and forms ``S1 = C1 L0^-1 C1^T``. The first
     :meth:`refactor` factors ``Lc`` and forms ``W2 = M Lc^-1 C2^T``; every
-    build, the first included, factors ``A`` and the Schur complement
-    ``S1/(mu*ell) + C2 A^-1 W2``. ``S1``, ``W2`` and the factors are all
-    that is stored: :meth:`solve_zero` back-substitutes through them.
-    ``builds`` and ``build_seconds`` count and time the builds.
+    build, the first included, factors ``A = nu (Lc + t M)``, ``t = mu*ell/nu``.
+    ``mu*ell`` times the Schur complement, ``S1 + mu*ell C2 A^-1 W2``, depends
+    only on ``t``, so one LU of it is kept per ``t``. ``S1``, ``W2`` and the
+    factors are all that is stored; :meth:`solve_zero` back-substitutes
+    through them. ``builds`` and ``build_seconds`` count and time the builds.
     """
 
     def __init__(self, ops, fd, boundary_data):
@@ -242,6 +247,7 @@ class GlobalSystems:
         self._C1f = C1f = self._C1[:, self.free0]
         self._S1 = C1f @ self._lu0.solve(C1f.T.toarray())   # C1 L0^{-1} C1^T
         self._lu_lc = None
+        self._schurs = {}                               # t -> LU of mu*ell*S
         self._mu = None
         self._nu = None
         self.builds = 0
@@ -252,19 +258,20 @@ class GlobalSystems:
         if mu == self._mu and nu == self._nu:
             return
         t0 = time.perf_counter()
-        ell = self.fd.length
+        mu_ell = mu * self.fd.length
         cr = self.ops.cr
         if self._lu_lc is None:
             self._lu_lc = splu(cr.laplacian.tocsc())
             # M Lc^{-1} C2^T, reused in every Schur rebuild
             self._W2 = cr.mass[:, None] * self._lu_lc.solve(self._C2.T.toarray())
-        self._lu_a = splu(cr.shifted_laplacian(mu * ell, nu))
-        S = self._S1 / (mu * ell) + self._C2 @ self._lu_a.solve(self._W2)
-        lu, piv = sla.lu_factor(S)
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-            raise RuntimeError("singular boundary coupling: incompatible boundary data")
-        self._schur = (lu, piv)
+        self._lu_a = splu(cr.shifted_laplacian(mu_ell, nu))
+        t = mu_ell / nu
+        if t not in self._schurs:
+            lu, piv = sla.lu_factor(self._S1 + mu_ell * (self._C2 @ self._lu_a.solve(self._W2)))
+            diag = np.abs(np.diag(lu))
+            if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+                raise RuntimeError("singular boundary coupling: incompatible boundary data")
+            self._schurs[t] = (lu, piv)
         self._mu, self._nu = mu, nu
         self.builds += 1
         self.build_seconds += time.perf_counter() - t0
@@ -295,7 +302,8 @@ class GlobalSystems:
             return self._lu_a.solve(self.ops.cr.mass * self._lu_lc.solve(r))
 
         r1 = rhs1[self.free0]
-        beta = sla.lu_solve(self._schur, C1f @ solve1(r1) + C2 @ solve2(rhs2) - g0)
+        schur = self._schurs[mu_ell / self._nu]
+        beta = mu_ell * sla.lu_solve(schur, C1f @ solve1(r1) + C2 @ solve2(rhs2) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
         f0[self.free0] = solve1(r1 - C1f.T @ beta)
         phi = solve2(rhs2 - C2.T @ beta)
@@ -349,15 +357,11 @@ class AdmmSolver:
         n_f = len(self.mesh.triangles)
         r2 = self.config.radius ** 2
 
-        alpha_h = state.sigma_h + state.w_h
-        alpha_v = state.sigma_v + state.w_v - TAU_BAR_VERTICAL
-        Ch = fourier_forward(alpha_h, fd.k_max)                  # (n_c, 2, K+1)
-        Cv = fourier_forward(alpha_v, fd.k_max)                  # (n_c, K+1)
-
-        area = ops.fem.face_area
-
-        # batched right-hand side pieces for every frequency at once
-        face_h = area[:, None, None] * Ch.reshape(n_f, 3, 2, -1).mean(axis=1)
+        # batched right-hand side pieces for every frequency at once; only
+        # the per-face mean of the horizontal samples enters them
+        alpha_h = (state.sigma_h + state.w_h).reshape(n_f, 3, 2, -1).mean(axis=1)
+        face_h = ops.fem.face_area[:, None, None] * fourier_forward(alpha_h, fd.k_max)
+        Cv = fourier_forward(state.sigma_v + state.w_v - TAU_BAR_VERTICAL, fd.k_max)
         gc_all = np.einsum("fdj,fdk->fjk", ops.fem.hat_gradient, face_h)  # (n_f, 3, K+1)
         mc_all = np.einsum("fij,fjk->fik", ops.fem.corner_mass, Cv.reshape(n_f, 3, -1))
 
@@ -368,8 +372,7 @@ class AdmmSolver:
         # frequency zero: conforming + edge-midpoint blocks meet at the boundary
         mu_ell = state.mu * fd.length
         self.systems.refactor(state.mu, state.nu)
-        h0 = Ch[:, :, 0].real.reshape(n_f, 3, 2)
-        face_h0 = area[:, None] * h0.mean(axis=1)
+        face_h0 = face_h[:, :, 0].real
         rhs1 = mu_ell * (ops.fem.gradient.T @ face_h0.ravel())
         jt_h0 = -quarter_turn(face_h0)        # adjoint of the quarter turn
         g = state.gamma - self.kappa_bar + state.z
@@ -405,9 +408,7 @@ class AdmmSolver:
 
     def sigma_norm(self, h, v):
         """Mass-weighted bundle-metric norm over corner samples."""
-        r2 = self.config.radius ** 2
-        val = np.einsum("cdm,cdm->cm", h, h) + v * v / r2
-        return np.sqrt(np.sum(self._sample_measure * val))
+        return np.sqrt(np.sum(self._sample_measure * metric_sq(h, v, self.config.radius)))
 
     def gamma_norm(self, g):
         return np.sqrt(np.sum(self.ops.cr.mass * g * g))

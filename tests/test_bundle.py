@@ -53,6 +53,31 @@ def test_fourier_roundtrip_is_bandlimit_projection():
     np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [10, 16, 64])
+@pytest.mark.parametrize("short", [False, True], ids=["kmax_full", "kmax_2"])
+def test_fourier_batched_matches_direct_sum(n, short):
+    K = 2 if short else n // 2 - 1
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, 2, n))
+    c = rng.standard_normal((3, 2, K + 1)) + 1j * rng.standard_normal((3, 2, K + 1))
+    k = np.arange(K + 1)
+    # direct sums c_k = (1/n) sum_m x_m e^{-ik theta_m} and
+    # x_m = Re(c_0 + 2 sum_k c_k e^{ik theta_m}), with k*theta_m reduced mod 2*pi in integers
+    fwd = np.zeros((3, 2, K + 1), dtype=complex)
+    inv = c[..., :1].real.repeat(n, axis=-1)
+    for m in range(n):
+        phase = np.exp(2j * np.pi * (k * m % n) / n)
+        fwd += x[..., m:m + 1] * np.conj(phase) / n
+        inv[..., m] += 2 * np.sum(c[..., 1:] * phase[1:], axis=-1).real
+    np.testing.assert_allclose(fourier_forward(x, K), fwd, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fourier_inverse(c, n), inv, rtol=0, atol=1e-13)
+    # more than 2*k_max samples in, at most n/2 coefficients (no Nyquist bin) back
+    with pytest.raises(ValueError, match="2\\*k_max"):
+        fourier_forward(x[..., :2 * K], K)
+    with pytest.raises(ValueError, match="n/2"):
+        fourier_inverse(np.zeros((3, 2, n // 2 + 1), dtype=complex), n)
+
+
 def test_fourier_reality_conjugate_symmetry():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(32)

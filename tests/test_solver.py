@@ -165,7 +165,7 @@ def test_saddle_refactor_penalty_pairs(mesh):
     rng = np.random.default_rng(3)
     n_v, n_ie = len(mesh.vertices), len(mesh.interior_edges)
     for mu, nu in [(1.0, 1.0), (2.0 ** 12, 2.0 ** -12), (2.0 ** -20, 1.0),
-                   (2.0 ** -3, 2.0 ** 5), (1.0, 1.0)]:
+                   (2.0 ** -3, 2.0 ** 5), (1.0, 1.0), (2.0, 2.0), (2.0 ** -15, 2.0 ** 5)]:
         systems.refactor(mu, nu)
         for _ in range(2):
             rhs1 = rng.standard_normal(n_v)
@@ -174,7 +174,10 @@ def test_saddle_refactor_penalty_pairs(mesh):
             g0 = rng.standard_normal(len(solver._g0))
             f0, phi, beta = systems.solve_zero(rhs1, rhs2, g0)
             assert systems.kkt_residual(f0, phi, beta, rhs1, rhs2, g0) <= 1e-9
-    assert systems.builds == 5
+    assert systems.builds == 7
+    # the Schur complement depends only on mu/nu: (2, 2) and (2^-15, 2^5)
+    # reuse the LUs of (1, 1) and (2^-20, 1)
+    assert len(systems._schurs) == 4
     # f0 and phi come from sparse back-substitution: the only dense block
     # taller than the boundary is the penalty-free M Lc^-1 C2^T
     n_be = len(solver._g0)
