@@ -194,7 +194,8 @@ class OperatorSet:
     cr: CrBlocks = None
     boundary: sp.csr_matrix = None        # (n_be, 2 n_f) circulation rows
     transport_d: np.ndarray = None        # (n_f, 3) degree-d transport coefficients
-    transport_pow: np.ndarray = None      # (k_max + 1, n_f, 3) transport_d ** -k
+    transport_pow: np.ndarray = None      # (n_f, 3, k_max + 1) transport_d ** -k
+    corner_incidence: sp.csr_matrix = None  # (n_v, 3 n_f) corner 3*f + j -> its vertex
 
     @classmethod
     def assemble(cls, mesh, atlas, degree, radius, k_max):
@@ -204,12 +205,16 @@ class OperatorSet:
         ops.boundary = assemble_boundary_rows(mesh, atlas)
         ops.transport_d = atlas.transport ** degree
         ks = np.arange(k_max + 1)
-        ops.transport_pow = ops.transport_d[None, :, :] ** (-ks[:, None, None])
+        ops.transport_pow = ops.transport_d[:, :, None] ** -ks
+        n_c = mesh.triangles.size
+        ops.corner_incidence = sp.csr_matrix(
+            (np.ones(n_c), (mesh.triangles.ravel(), np.arange(n_c))),
+            shape=(len(mesh.vertices), n_c))
         return ops
 
     def transport_k(self, k):
         """Per-corner transport entries at frequency ``k`` (degree folded in)."""
-        return self.transport_pow[k] if k >= 0 else np.conj(self.transport_pow[-k])
+        return self.transport_pow[:, :, k] if k >= 0 else np.conj(self.transport_pow[:, :, -k])
 
     def stiffness(self, k):
         return assemble_stiffness(self.fem, self.transport_k(k))
@@ -226,11 +231,13 @@ class OperatorSet:
         """Per-face constant gradient of an interior-edge function (0 on boundary edges)."""
         return (self.cr.gradient @ phi).reshape(-1, 2)
 
-    def scatter_corners(self, corner_values, k):
-        """Adjoint of the covariant incidence: conj-transported corner sums per vertex."""
-        vals = np.conj(self.transport_k(k)).ravel() * corner_values.ravel()
-        idx = self.fem.corner_vertex.ravel()
-        n_v = len(self.mesh.vertices)
-        out = np.bincount(idx, weights=vals.real, minlength=n_v).astype(complex)
-        out += 1j * np.bincount(idx, weights=vals.imag, minlength=n_v)
-        return out
+    def scatter_corners(self, corner_values):
+        """Adjoint of the covariant incidence at frequencies ``0..n_k-1`` at once.
+
+        ``corner_values[f, j, k]`` is the frequency-``k`` value at corner ``j``
+        of face ``f``; returns the conj-transported corner sums per vertex as
+        ``(n_v, n_k)``, one sparse product for all frequencies.
+        """
+        n_k = corner_values.shape[-1]
+        vals = np.conj(self.transport_pow[:, :, :n_k]) * corner_values
+        return self.corner_incidence @ vals.reshape(-1, n_k)

@@ -15,6 +15,15 @@ The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
 
+:meth:`AdmmSolver.iterate` updates the state's four sample arrays
+(``sigma_h``, ``sigma_v``, ``w_h``, ``w_v``) in place. The duals are
+overwritten where they are; the local step writes the new ``sigma`` into
+spare buffers that the solver owns, and the arrays they replace hold the
+residual differences, then become the next spares. So an array taken
+from a state before an iteration is overwritten by it; copy it to keep
+it. The state returned by :meth:`AdmmSolver.run` shares no memory with
+the solver's spares.
+
 A solve is set by the seven :class:`SolverConfig` fields ``lam``,
 ``radius``, ``degree``, ``fiber_n``, ``eps``, ``max_iters`` and ``mask``.
 Both penalties start at 1 and are adapted every iteration; the objective
@@ -143,9 +152,23 @@ def init_state(ops, fd, boundary_data):
     )
 
 
-def metric_sq(h, v, radius):
-    """Squared bundle metric ``|h|^2 + v^2 / r^2``; axis 1 of ``h`` holds the 2-vector."""
-    return np.einsum("cd...,cd...->c...", h, h) + v * v / radius ** 2
+def metric_sq(h, v, radius, per_corner=False):
+    """Squared bundle metric ``|h|^2 + v^2 / r^2``; axis 1 of ``h`` holds the 2-vector.
+
+    With ``per_corner`` it is summed over each corner's fiber (the last axis).
+    """
+    if per_corner:
+        h_sub, v_sub = "cdm,cdm->c", "cm,cm->c"
+    else:
+        h_sub, v_sub = "cd...,cd...->c...", "c...,c...->c..."
+    out = np.einsum(h_sub, h, h)
+    out += np.einsum(v_sub, v, v) / radius ** 2
+    return out
+
+
+def _by_face(x):
+    """View corner-indexed samples ``(3 n_f, ...)`` as ``(n_f, 3, ...)``."""
+    return x.reshape(-1, 3, *x.shape[1:])
 
 
 def sample_density(state, radius):
@@ -153,18 +176,24 @@ def sample_density(state, radius):
     return np.sqrt(metric_sq(state.sigma_h, state.sigma_v, radius))
 
 
-def local_step_sigma(hat_h, hat_v, mu, radius):
+def local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
     """Pointwise prox of the bundle-metric norm with vertical nonnegativity.
 
     Clamps the vertical part to be nonnegative, then shortens the sample by
     ``1/mu`` in the metric ``|h|^2 + v^2 / r^2``, zeroing it inside the
-    deadzone. Axis 1 of ``hat_h`` holds the 2-vector.
+    deadzone. Axis 1 of ``hat_h`` holds the 2-vector. ``out`` is an optional
+    pair of buffers for the result; ``density``, if given, receives the
+    result's metric norm ``max(|hat| - 1/mu, 0)`` per sample.
     """
-    v = np.maximum(hat_v, 0.0)
-    norm = np.sqrt(metric_sq(hat_h, v, radius))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norm > 0, np.maximum(1.0 - 1.0 / (mu * norm), 0.0), 0.0)
-    return np.expand_dims(scale, 1) * hat_h, scale * v
+    out_h, out_v = (None, None) if out is None else out
+    v = np.maximum(hat_v, 0.0, out=out_v)
+    norm = metric_sq(hat_h, v, radius)
+    np.sqrt(norm, out=norm)
+    shrunk = np.subtract(norm, 1.0 / mu, out=density)
+    np.maximum(shrunk, 0.0, out=shrunk)
+    # shrunk / |hat| where the sample survives, 0 in the deadzone (shrunk = 0)
+    scale = np.divide(shrunk, np.maximum(norm, 1.0 / mu, out=norm), out=norm)
+    return np.multiply(np.expand_dims(scale, 1), hat_h, out=out_h), np.multiply(scale, v, out=v)
 
 
 def local_step_gamma(gamma_hat, nu, lam, mask_cols=None):
@@ -231,7 +260,10 @@ class GlobalSystems:
         for k in range(1, fd.k_max + 1):
             L = ops.laplacian(k)
             try:
-                lu = splu(L[self.interior][:, self.interior].tocsc())
+                # Hermitian positive definite: symmetric ordering, no pivoting
+                lu = splu(L[self.interior][:, self.interior].tocsc(),
+                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                          options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise RuntimeError("factorization failed at frequency %d: %s"
                                    % (k, exc)) from exc
@@ -343,7 +375,12 @@ class AdmmSolver:
                              "residual": 0.0}
 
         w = self.ops.fem.corner_weight.ravel()
-        self._sample_measure = w[:, None] * (self.fd.length / self.fd.n)
+        self._corner_measure = w * (self.fd.length / self.fd.n)   # of each sample at a corner
+        # spare sigma buffers of the in-place sweep, swapped with the state's,
+        # and the density of the new sigma
+        n_c, n = 3 * len(mesh.triangles), self.fd.n
+        self._spare_sigma = (np.empty((n_c, 2, n)), np.empty((n_c, n)))
+        self._density = np.empty((n_c, n))
         # boundary circulation of the reconstructed horizontal part equals
         # minus the winding of the boundary data (the interior-edge block
         # rotates gradients by +90 degrees, so positively wound data drives
@@ -354,20 +391,23 @@ class AdmmSolver:
 
     def global_step(self, state):
         ops, fd = self.ops, self.fd
-        n_f = len(self.mesh.triangles)
         r2 = self.config.radius ** 2
 
         # batched right-hand side pieces for every frequency at once; only
-        # the per-face mean of the horizontal samples enters them
-        alpha_h = (state.sigma_h + state.w_h).reshape(n_f, 3, 2, -1).mean(axis=1)
-        face_h = ops.fem.face_area[:, None, None] * fourier_forward(alpha_h, fd.k_max)
-        Cv = fourier_forward(state.sigma_v + state.w_v - TAU_BAR_VERTICAL, fd.k_max)
-        gc_all = np.einsum("fdj,fdk->fjk", ops.fem.hat_gradient, face_h)  # (n_f, 3, K+1)
-        mc_all = np.einsum("fij,fjk->fik", ops.fem.corner_mass, Cv.reshape(n_f, 3, -1))
-
+        # the per-face sum of the horizontal samples enters them
+        alpha_h = _by_face(state.sigma_h).sum(axis=1)
+        alpha_h += _by_face(state.w_h).sum(axis=1)
+        face_h = (ops.fem.face_area / 3.0)[:, None, None] * fourier_forward(alpha_h, fd.k_max)
+        # the spare sigma_v buffer is free until the local step
+        alpha_v = np.add(state.sigma_v, state.w_v, out=self._spare_sigma[1])
+        Cv = _by_face(fourier_forward(alpha_v, fd.k_max))
+        Cv[:, :, 0] -= TAU_BAR_VERTICAL
+        gc_all = np.matmul(ops.fem.hat_gradient.transpose(0, 2, 1), face_h)  # (n_f, 3, K+1)
+        mc_all = np.matmul(ops.fem.corner_mass, Cv)
+        mc_all *= -1j * np.arange(fd.k_max + 1) / r2
+        rhs = ops.scatter_corners(gc_all + mc_all)                # (n_v, K+1)
         for k in range(1, fd.k_max + 1):
-            rhs = ops.scatter_corners(gc_all[:, :, k] - (1j * k / r2) * mc_all[:, :, k], k)
-            state.f[k] = self.systems.solve_frequency(k, rhs)
+            state.f[k] = self.systems.solve_frequency(k, rhs[:, k])
 
         # frequency zero: conforming + edge-midpoint blocks meet at the boundary
         mu_ell = state.mu * fd.length
@@ -385,21 +425,26 @@ class AdmmSolver:
         return state
 
     def reconstruct(self, state):
-        """Samples of the reference-plus-potential covector (no dual shift)."""
+        """Samples of the reference-plus-potential covector (no dual shift).
+
+        Returns the horizontal part once per face, ``(n_f, 2, N)``: it is the
+        same at the face's three corners. The vertical part is per corner,
+        ``(n_c, N)``.
+        """
         ops, fd = self.ops, self.fd
         n_f = len(self.mesh.triangles)
         K = fd.k_max
         tri = self.mesh.triangles
 
-        fc_all = ops.transport_pow * state.f[:, tri]             # (K+1, n_f, 3)
-        CH = np.einsum("fdj,kfj->fdk", ops.fem.hat_gradient, fc_all)
-        CV = ((1j * np.arange(K + 1))[:, None, None] * fc_all).transpose(1, 2, 0)
+        # per-corner coefficients, frequency last: (n_f, 3, K+1)
+        fc = ops.transport_pow * np.ascontiguousarray(state.f.T)[tri]
+        CH = np.matmul(ops.fem.hat_gradient, fc)                 # (n_f, 2, K+1)
+        CV = fc * (1j * np.arange(K + 1))
         CH[:, :, 0] += quarter_turn(ops.cr_face_gradient(state.phi))
         CV[:, :, 0] += TAU_BAR_VERTICAL
 
-        Rh_face = fourier_inverse(CH, fd.n)                      # (n_f, 2, N)
+        Rh = fourier_inverse(CH, fd.n)                           # (n_f, 2, N)
         Rv = fourier_inverse(CV, fd.n)                           # (n_f, 3, N)
-        Rh = np.repeat(Rh_face, 3, axis=0)                       # (n_c, 2, N)
         return Rh, Rv.reshape(3 * n_f, fd.n)
 
     def gamma_target(self, state):
@@ -408,41 +453,62 @@ class AdmmSolver:
 
     def sigma_norm(self, h, v):
         """Mass-weighted bundle-metric norm over corner samples."""
-        return np.sqrt(np.sum(self._sample_measure * metric_sq(h, v, self.config.radius)))
+        per_corner = metric_sq(h, v, self.config.radius, per_corner=True)
+        return np.sqrt(np.sum(self._corner_measure * per_corner))
 
     def gamma_norm(self, g):
         return np.sqrt(np.sum(self.ops.cr.mass * g * g))
 
-    def objective(self, state):
-        """Mass of the section current plus the weighted singularity mass."""
-        mass_sigma = np.sum(self._sample_measure * sample_density(state, self.config.radius))
+    def objective(self, state, density=None):
+        """Mass of the section current plus the weighted singularity mass.
+
+        ``density`` is the bundle-metric norm of each sample of ``state``
+        when the caller has it already (the sweep does); by default it is
+        computed with :func:`sample_density`.
+        """
+        if density is None:
+            density = sample_density(state, self.config.radius)
+        mass_sigma = np.sum(self._corner_measure * density.sum(axis=1))
         mass_gamma = np.sum(self.ops.cr.mass * self.lam * np.abs(state.gamma))
         return mass_sigma + float(mass_gamma)
 
     def iterate(self, state):
-        """One full ADMM sweep; returns the four residuals."""
+        """One in-place ADMM sweep; returns the four residuals and the objective.
+
+        ``hat = R - w`` is written over the duals, the local step writes the
+        new ``sigma`` into the spare buffers and ``w = sigma - hat`` goes over
+        ``hat``. The old ``sigma`` buffers take ``sigma - sigma_prev``, then
+        ``sigma - R``, and become the spares.
+        """
         cfg = self.config
         t0 = time.perf_counter()
         self.global_step(state)
         Rh, Rv = self.reconstruct(state)
         t1 = time.perf_counter()
-        hat_h = Rh - state.w_h
-        hat_v = Rv - state.w_v
+        hat_h, hat_v = state.w_h, state.w_v
+        np.subtract(Rh[:, None], _by_face(hat_h), out=_by_face(hat_h))
+        np.subtract(Rv, hat_v, out=hat_v)
         prev_h, prev_v = state.sigma_h, state.sigma_v
-        state.sigma_h, state.sigma_v = local_step_sigma(hat_h, hat_v, state.mu, cfg.radius)
+        state.sigma_h, state.sigma_v = local_step_sigma(
+            hat_h, hat_v, state.mu, cfg.radius, out=self._spare_sigma, density=self._density)
 
         gt = self.gamma_target(state)
         prev_g = state.gamma
         state.gamma = local_step_gamma(gt - state.z, state.nu, self.lam, self.mask_cols)
         t2 = time.perf_counter()
 
-        state.w_h = state.w_h + state.sigma_h - Rh
-        state.w_v = state.w_v + state.sigma_v - Rv
+        np.subtract(state.sigma_h, hat_h, out=hat_h)       # w = sigma - hat
+        np.subtract(state.sigma_v, hat_v, out=hat_v)
         state.z = state.z + state.gamma - gt
         t3 = time.perf_counter()
 
-        r_p_mu = self.sigma_norm(state.sigma_h - Rh, state.sigma_v - Rv)
-        r_d_mu = self.sigma_norm(state.sigma_h - prev_h, state.sigma_v - prev_v)
+        np.subtract(state.sigma_h, prev_h, out=prev_h)
+        np.subtract(state.sigma_v, prev_v, out=prev_v)
+        r_d_mu = self.sigma_norm(prev_h, prev_v)
+        np.subtract(_by_face(state.sigma_h), Rh[:, None], out=_by_face(prev_h))
+        np.subtract(state.sigma_v, Rv, out=Rv)
+        r_p_mu = self.sigma_norm(prev_h, Rv)
+        self._spare_sigma = (prev_h, prev_v)
         r_p_nu = self.gamma_norm(state.gamma - gt)
         r_d_nu = self.gamma_norm(state.gamma - prev_g)
         t4 = time.perf_counter()
@@ -454,14 +520,14 @@ class AdmmSolver:
 
         state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu)
         if s != 1.0:
-            state.w_h = state.w_h * s
-            state.w_v = state.w_v * s
+            state.w_h *= s
+            state.w_v *= s
         state.nu, s = adapt_penalty(state.nu, r_p_nu, r_d_nu)
         if s != 1.0:
             state.z = state.z * s
 
         state.iteration += 1
-        return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu])
+        return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu]), self.objective(state, self._density)
 
     def run(self):
         cfg = self.config
@@ -474,9 +540,11 @@ class AdmmSolver:
         t_start = time.perf_counter()
         converged = False
         for _ in range(cfg.max_iters):
-            res = self.iterate(state)
+            res, obj = self.iterate(state)
+            if not np.all(np.isfinite(res)):
+                raise RuntimeError("non-finite residual at iteration %d" % state.iteration)
             history.append(res)
-            objective.append(self.objective(state))
+            objective.append(obj)
             if cfg.eps > 0 and np.all(res < cfg.eps):
                 converged = True
                 break
@@ -507,6 +575,7 @@ def run_admm(mesh, config, boundary_spec="tangent", atlas=None):
 
     Non-convergence within the iteration cap is reported in
     ``result.report.warning``, never raised; partial states remain usable
-    for extraction.
+    for extraction. A non-finite residual stops the solve with a
+    ``RuntimeError`` naming the iteration.
     """
     return AdmmSolver(mesh, config, boundary_spec, atlas=atlas).run()

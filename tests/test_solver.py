@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import meshgen
 from minsec.bundle import TAU_BAR_VERTICAL, fejer_delta
+from minsec.cli import main
 from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
 from minsec.solver import (AdmmSolver, SolverConfig, adapt_penalty, init_state,
-                           local_step_gamma, local_step_sigma, run_admm)
+                           local_step_gamma, local_step_sigma, metric_sq, run_admm)
 
 
 def _solver(mesh, **kw):
@@ -106,7 +109,9 @@ def test_frequency_solve_contract_and_conjugation():
         face_h = ops.fem.face_area[:, None] * hk.mean(axis=1)
         gc = np.einsum("fdj,fd->fj", ops.fem.hat_gradient, face_h)
         mc = np.einsum("fij,fj->fi", ops.fem.corner_mass, Cv[:, k].reshape(n_f, 3))
-        rhs = ops.scatter_corners(gc - (1j * k / solver.config.radius ** 2) * mc, k)
+        values = np.zeros((n_f, 3, k + 1), dtype=complex)
+        values[:, :, k] = gc - (1j * k / solver.config.radius ** 2) * mc
+        rhs = ops.scatter_corners(values)[:, k]
         resid = (ops.laplacian(k) @ state.f[k] - rhs)[interior]
         assert np.linalg.norm(resid) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
@@ -184,6 +189,128 @@ def test_saddle_refactor_penalty_pairs(mesh):
     tall = [name for name, value in vars(systems).items()
             if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] > n_be]
     assert tall == ["_W2"]
+
+
+def _reference_iterate(solver, state):
+    """Out-of-place oracle of :meth:`AdmmSolver.iterate`: fresh arrays for
+    every step, the horizontal reconstruction repeated over the corners,
+    four separate norms and ``objective(state)``."""
+    radius = solver.config.radius
+    solver.global_step(state)
+    Rh_face, Rv = solver.reconstruct(state)
+    Rh = np.repeat(Rh_face, 3, axis=0)
+    prev_h, prev_v = state.sigma_h, state.sigma_v
+    state.sigma_h, state.sigma_v = local_step_sigma(Rh - state.w_h, Rv - state.w_v,
+                                                    state.mu, radius)
+    gt = solver.gamma_target(state)
+    prev_g = state.gamma
+    state.gamma = local_step_gamma(gt - state.z, state.nu, solver.lam, solver.mask_cols)
+    state.w_h = state.w_h + state.sigma_h - Rh
+    state.w_v = state.w_v + state.sigma_v - Rv
+    state.z = state.z + state.gamma - gt
+    measure = solver.ops.fem.corner_weight.ravel()[:, None] * (solver.fd.length / solver.fd.n)
+
+    def sigma_norm(h, v):
+        return np.sqrt(np.sum(measure * metric_sq(h, v, radius)))
+
+    def gamma_norm(g):
+        return np.sqrt(np.sum(solver.ops.cr.mass * g * g))
+
+    res = np.array([sigma_norm(state.sigma_h - Rh, state.sigma_v - Rv),
+                    sigma_norm(state.sigma_h - prev_h, state.sigma_v - prev_v),
+                    gamma_norm(state.gamma - gt), gamma_norm(state.gamma - prev_g)])
+    state.mu, s = adapt_penalty(state.mu, res[0], res[1])
+    if s != 1.0:
+        state.w_h = state.w_h * s
+        state.w_v = state.w_v * s
+    state.nu, s = adapt_penalty(state.nu, res[2], res[3])
+    if s != 1.0:
+        state.z = state.z * s
+    state.iteration += 1
+    return res, solver.objective(state)
+
+
+@pytest.mark.parametrize("mesh, mu0", [(meshgen.disk(5), 2.0 ** -6),
+                                       (meshgen.annulus(4), 2.0 ** -6),
+                                       (meshgen.annulus(4), 2.0 ** 6)],
+                         ids=["disk-mu_up", "annulus-mu_up", "annulus-mu_down"])
+def test_in_place_sweep_matches_reference(mesh, mu0):
+    # an off-balance first mu makes the sweep rescale its duals in place.
+    # (On disk(5) a first mu of 2^6 drives nu to 1e-11, where the saddle
+    # amplifies round-off between any two summation orders past 1e-12.)
+    fast, slow = _solver(mesh, degree=4), _solver(mesh, degree=4)
+    a = init_state(fast.ops, fast.fd, fast.bd)
+    b = init_state(slow.ops, slow.fd, slow.bd)
+    a.mu = b.mu = mu0
+    mus = set()
+
+    def close(x, y):
+        return np.linalg.norm(np.ravel(x - y)) <= 1e-12 * np.linalg.norm(np.ravel(y))
+
+    for _ in range(40):
+        res_a, obj_a = fast.iterate(a)
+        res_b, obj_b = _reference_iterate(slow, b)
+        # relative to the residual or, once it sits at round-off, to the
+        # size of the iterate it measures
+        sizes = np.array([slow.sigma_norm(b.sigma_h, b.sigma_v)] * 2
+                         + [slow.gamma_norm(b.gamma)] * 2)
+        assert np.all(np.abs(res_a - res_b) <= 1e-12 * np.maximum(res_b, sizes))
+        assert obj_a == pytest.approx(obj_b, rel=1e-12)
+        assert (a.mu, a.nu, a.iteration) == (b.mu, b.nu, b.iteration)
+        for name in ("sigma_h", "sigma_v", "w_h", "w_v", "gamma", "z", "f", "phi"):
+            assert close(getattr(a, name), getattr(b, name)), name
+        mus.add(a.mu)
+    assert len(mus) >= 3
+
+
+def test_run_leaves_returned_state_alone():
+    # the sweep writes into solver-owned spare buffers; none may end up in
+    # a returned state, and a later run must not touch an earlier state
+    solver = _solver(meshgen.disk(4), degree=4, eps=0.0, max_iters=20)
+    first = solver.run().state
+    names = ("sigma_h", "sigma_v", "w_h", "w_v")
+    kept = {name: getattr(first, name).copy() for name in names}
+    second = solver.run().state
+    for name in names:
+        assert np.array_equal(getattr(first, name), kept[name]), name
+    samples = [getattr(st, name) for st in (first, second) for name in names]
+    for x, y in itertools.combinations(samples, 2):
+        assert not np.shares_memory(x, y)
+    owned = [x for value in vars(solver).values()
+             for x in (value if isinstance(value, tuple) else (value,))
+             if isinstance(x, np.ndarray)]
+    for x, y in itertools.product(owned, samples):
+        assert not np.shares_memory(x, y)
+
+
+def _poison_reconstruct(solver_cls, monkeypatch, at_iteration):
+    """Make one vertical sample NaN in the given iteration's reconstruction."""
+    reconstruct = solver_cls.reconstruct
+
+    def poisoned(self, state):
+        Rh, Rv = reconstruct(self, state)
+        if state.iteration + 1 == at_iteration:
+            Rv[0, 0] = np.nan
+        return Rh, Rv
+
+    monkeypatch.setattr(solver_cls, "reconstruct", poisoned)
+
+
+def test_non_finite_residual_stops(monkeypatch):
+    _poison_reconstruct(AdmmSolver, monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="^non-finite residual at iteration 3$"):
+        run_admm(meshgen.disk(4), SolverConfig(degree=4, fiber_n=16, max_iters=50))
+
+
+def test_non_finite_residual_cli_exit_code(monkeypatch, tmp_path, capsys):
+    _poison_reconstruct(AdmmSolver, monkeypatch, 3)
+    path = tmp_path / "disk.obj"
+    meshgen.write_obj(path, meshgen.disk(4))
+    code = main(["--mesh", str(path), "--degree", "4", "--fiber-n", "16",
+                 "--max-iters", "50", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite residual at iteration 3\n"
 
 
 def test_boundary_fiber_reconstruction_is_fejer():
