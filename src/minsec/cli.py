@@ -236,6 +236,7 @@ def run(config):
     mask = _read_mask_file(config.mask, mesh) if config.mask else None
     res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
     field = extract_field(res.state, res.ops)
+    area = graph_area(field, res.ops, config.radius)   # raises if the field is undefined
     sing = extract_singularities(res.state.gamma, res.ops, config.degree)
 
     _write_rows(path("field.txt"), _FIELD_ROW, vertex, field.angle, field.confidence)
@@ -255,10 +256,6 @@ def run(config):
     thetas = np.pi * np.arange(33) / 32
     cdf = concentration_cdf(res.state, field, res.ops, res.fd, thetas)
     w2 = fiber_w2(res.state, field, res.ops, res.fd)
-    try:
-        area = graph_area(field, res.ops, config.radius)
-    except ValueError:
-        area = float("nan")
     rep = res.report
     lines = ["mode minsec",
              "iterations %d" % rep.iterations,

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
-from .solver import sample_density
+from .solver import sample_density, spd_lu
 
 SEED_THRESHOLD = 1e-3
 BASELINE_MAX_ITERS = 500
@@ -229,7 +228,7 @@ def baseline_smoothest_field(ops):
     M = ops.vertex_mass(0).real.tocsc()
     n = S.shape[0]
     shift = 1e-8 * (np.abs(S.diagonal()).mean() / np.abs(M.diagonal()).mean())
-    lu = splu((S + shift * M).tocsc())
+    lu = spd_lu(S + shift * M)
     x = np.ones(n, dtype=complex)
     x /= np.sqrt(np.real(np.conj(x) @ (M @ x)))
     lam_old = np.inf

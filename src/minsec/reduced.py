@@ -14,11 +14,10 @@ nonsingular (Dirichlet on boundary edges), so the solve factors
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .mesh import build_transport
 from .operators import assemble_crouzeix_raviart, assemble_linear_fem
-from .solver import adapt_penalty, local_step_gamma
+from .solver import adapt_penalty, local_step_gamma, spd_lu
 
 
 @dataclass
@@ -64,7 +63,7 @@ def solve_reduced(mesh, kappa_bar, lam_eff, eps=1e-6, max_iters=20000, mask=None
     converged = False
     for it in range(max_iters):
         if lu is None or lu_nu != nu:
-            lu = splu(cr.shifted_laplacian(2.0, nu))
+            lu = spd_lu(cr.shifted_laplacian(2.0, nu))
             lu_nu = nu
         phi = lu.solve(nu * cr.mass * (gamma - kappa_bar + z))
         target = (L @ phi) / cr.mass + kappa_bar

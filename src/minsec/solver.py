@@ -6,11 +6,12 @@ edges (local step), dual ascent, residuals, and adaptive penalties.
 Corner samples and the one-sided vertical coefficients meet only through
 :func:`bundle.fourier_forward` and :func:`bundle.fourier_inverse`. The
 per-frequency systems and the conforming frequency-zero block are
-factored when the solver is built. The edge-midpoint Laplacian is
-factored, and solved against the boundary rows, at the first saddle
-build; a penalty change refactors one block with Laplacian sparsity,
-and the dense boundary Schur complement once per penalty ratio; each
-saddle solve back-substitutes through the sparse factors.
+factored when the solver is built, the edge-midpoint Laplacian at the
+first saddle build, all by :func:`spd_lu`. A penalty change refactors
+one block with Laplacian sparsity, and the dense boundary Schur
+complement once per penalty ratio. Only sparse factors and dense blocks
+with one row per boundary edge are stored; each saddle solve
+back-substitutes through the sparse factors.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
@@ -49,6 +50,22 @@ from .operators import OperatorSet, quarter_turn
 #: exceeds ADAPT_RATIO times the other.
 ADAPT_RATIO = 10.0
 ADAPT_FACTOR = 2.0
+
+
+def spd_lu(matrix):
+    """Sparse LU of a symmetric (or Hermitian) positive definite matrix:
+    symmetric fill-reducing ordering, diagonal pivots."""
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+
+
+def _gram(lu, C):
+    """Dense ``C lu^-1 C^T`` for sparse ``C``, solving 64 columns of ``C^T`` at a time."""
+    Ct = C.T.tocsc()
+    out = np.empty((C.shape[0], C.shape[0]))
+    for j in range(0, C.shape[0], 64):
+        out[:, j:j + 64] = C @ lu.solve(Ct[:, j:j + 64].toarray())
+    return out
 
 
 @dataclass
@@ -133,11 +150,10 @@ class SolveResult:
     kappa_bar: np.ndarray
 
 
-def init_state(ops, fd, boundary_data):
-    """Feasible start: reference section samples, curvature as density, zero duals."""
+def init_state(ops, fd, kappa_bar):
+    """Feasible start: reference section samples, ``kappa_bar`` as density, zero duals."""
     n_c = 3 * len(ops.mesh.triangles)
     n_ie = len(ops.mesh.interior_edges)
-    kappa_bar = make_kappa_bar(ops.atlas, ops.degree)
     return BundleState(
         sigma_h=np.zeros((n_c, 2, fd.n)),
         sigma_v=np.full((n_c, fd.n), TAU_BAR_VERTICAL),
@@ -232,14 +248,17 @@ class GlobalSystems:
     product form ``K2 = Lc M^-1 A`` with ``A = mu*ell*M + nu*Lc``, so
     ``K2^-1 = A^-1 M Lc^-1``. The boundary rows are ``C1 = B G_fem`` and
     ``C2 = B J G_cr`` (``B`` the circulation matrix, ``J`` the per-face
-    quarter turn). The constructor factors the per-frequency systems and
-    the conforming block and forms ``S1 = C1 L0^-1 C1^T``. The first
-    :meth:`refactor` factors ``Lc`` and forms ``W2 = M Lc^-1 C2^T``; every
-    build, the first included, factors ``A = nu (Lc + t M)``, ``t = mu*ell/nu``.
-    ``mu*ell`` times the Schur complement, ``S1 + mu*ell C2 A^-1 W2``, depends
-    only on ``t``, so one LU of it is kept per ``t``. ``S1``, ``W2`` and the
-    factors are all that is stored; :meth:`solve_zero` back-substitutes
-    through them. ``builds`` and ``build_seconds`` count and time the builds.
+    quarter turn). ``mu*ell`` times the Schur complement depends only on
+    ``t = mu*ell/nu``: by the resolvent identity it is ``S0 - nu C2 A^-1 C2^T``,
+    with ``A = nu (Lc + t M)`` refactored every build and the penalty-free
+    ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, whose second term is added when
+    the first :meth:`refactor` factors ``Lc``. A gradient circulates to zero
+    around a closed loop, so along the unit loop indicators ``Q`` that
+    difference cancels in proportion to ``t``; those rows and columns take
+    the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` instead. One LU is
+    kept per ``t``. ``S0``, ``Q``, the sparse factors and these LUs are all
+    that is stored; :meth:`solve_zero` back-substitutes through them.
+    ``builds`` and ``build_seconds`` count and time the builds.
     """
 
     def __init__(self, ops, fd, boundary_data):
@@ -260,24 +279,24 @@ class GlobalSystems:
         for k in range(1, fd.k_max + 1):
             L = ops.laplacian(k)
             try:
-                # Hermitian positive definite: symmetric ordering, no pivoting
-                lu = splu(L[self.interior][:, self.interior].tocsc(),
-                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                          options={"SymmetricMode": True})
+                lu = spd_lu(L[self.interior][:, self.interior])
             except RuntimeError as exc:
                 raise RuntimeError("factorization failed at frequency %d: %s"
                                    % (k, exc)) from exc
             self._freq[k] = (lu, L[self.interior][:, self.b_vertices].tocsc())
 
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        self._lu0 = splu(L0[self.free0][:, self.free0].tocsc())
+        self._lu0 = spd_lu(L0[self.free0][:, self.free0])
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
-        self._C1f = C1f = self._C1[:, self.free0]
-        self._S1 = C1f @ self._lu0.solve(C1f.T.toarray())   # C1 L0^{-1} C1^T
+        self._C1f = self._C1[:, self.free0]
+        self._S0 = _gram(self._lu0, self._C1f)          # C2 Lc^-1 C2^T joins at the first build
+        # unit loop indicators, in boundary_halfedges row order
+        self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
+                                   for loop in mesh.boundary_loops])
         self._lu_lc = None
         self._schurs = {}                               # t -> LU of mu*ell*S
         self._mu = None
@@ -291,15 +310,20 @@ class GlobalSystems:
             return
         t0 = time.perf_counter()
         mu_ell = mu * self.fd.length
-        cr = self.ops.cr
+        cr, C2, Q = self.ops.cr, self._C2, self._Q
         if self._lu_lc is None:
-            self._lu_lc = splu(cr.laplacian.tocsc())
-            # M Lc^{-1} C2^T, reused in every Schur rebuild
-            self._W2 = cr.mass[:, None] * self._lu_lc.solve(self._C2.T.toarray())
-        self._lu_a = splu(cr.shifted_laplacian(mu_ell, nu))
+            self._lu_lc = spd_lu(cr.laplacian)
+            self._S0 += _gram(self._lu_lc, C2)
+        self._lu_a = spd_lu(cr.shifted_laplacian(mu_ell, nu))
         t = mu_ell / nu
         if t not in self._schurs:
-            lu, piv = sla.lu_factor(self._S1 + mu_ell * (self._C2 @ self._lu_a.solve(self._W2)))
+            S = self._S0 - nu * _gram(self._lu_a, C2)
+            # the difference cancels along the loops; there SQ, in product form, replaces it
+            SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
+            S -= Q @ (Q.T @ S)
+            S -= (S @ Q) @ Q.T
+            S += SQ @ Q.T + Q @ (SQ.T - (Q.T @ SQ) @ Q.T)
+            lu, piv = sla.lu_factor(S, overwrite_a=True)
             diag = np.abs(np.diag(lu))
             if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
                 raise RuntimeError("singular boundary coupling: incompatible boundary data")
@@ -307,6 +331,10 @@ class GlobalSystems:
         self._mu, self._nu = mu, nu
         self.builds += 1
         self.build_seconds += time.perf_counter() - t0
+
+    def _solve_k2(self, r):
+        """``K2^-1 r = A^-1 M Lc^-1 r`` for a vector or a block of columns ``r``."""
+        return self._lu_a.solve((self.ops.cr.mass * self._lu_lc.solve(r).T).T)
 
     def solve_frequency(self, k, rhs):
         """Solve the frequency-``k`` system with pinned boundary values."""
@@ -330,15 +358,12 @@ class GlobalSystems:
         def solve1(r):                                  # (mu*ell*L0_ff)^{-1} r
             return self._lu0.solve(r) / mu_ell
 
-        def solve2(r):                                  # K2^{-1} r = A^{-1} M Lc^{-1} r
-            return self._lu_a.solve(self.ops.cr.mass * self._lu_lc.solve(r))
-
         r1 = rhs1[self.free0]
         schur = self._schurs[mu_ell / self._nu]
-        beta = mu_ell * sla.lu_solve(schur, C1f @ solve1(r1) + C2 @ solve2(rhs2) - g0)
+        beta = mu_ell * sla.lu_solve(schur, C1f @ solve1(r1) + C2 @ self._solve_k2(rhs2) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
         f0[self.free0] = solve1(r1 - C1f.T @ beta)
-        phi = solve2(rhs2 - C2.T @ beta)
+        phi = self._solve_k2(rhs2 - C2.T @ beta)
         return f0, phi, beta
 
     def kkt_residual(self, f0, phi, beta, rhs1, rhs2, g0):
@@ -531,7 +556,7 @@ class AdmmSolver:
 
     def run(self):
         cfg = self.config
-        state = init_state(self.ops, self.fd, self.bd)
+        state = init_state(self.ops, self.fd, self.kappa_bar)
         report = ConvergenceReport(eps=cfg.eps)
         history = []
         objective = []

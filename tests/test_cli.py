@@ -227,6 +227,19 @@ def test_singular_boundary_coupling_exit_code(disk_obj, tmp_path, capsys):
     assert "singular boundary coupling" in err
 
 
+def test_undefined_field_exit_code(disk_obj, tmp_path, capsys):
+    # at a vanishing radius the solved field is undefined on some faces:
+    # the run stops with one error line before writing any output file
+    out = tmp_path / "o"
+    code = main(["--mesh", disk_obj, "--radius", "1e-10", "--degree", "4",
+                 "--fiber-n", "16", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "field is undefined on" in err
+    assert list(out.iterdir()) == []
+
+
 def _minsec(mesh_path, out, *extra):
     return main(["--mesh", mesh_path, "--mode", "minsec", "--degree", "1",
                  "--fiber-n", "16", "--max-iters", "50", "--out", str(out), *extra])

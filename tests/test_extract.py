@@ -11,7 +11,7 @@ from minsec.solver import AdmmSolver, SolverConfig, init_state, run_admm
 
 def _setup(mesh, degree=1, fiber_n=16, **kw):
     solver = AdmmSolver(mesh, SolverConfig(degree=degree, fiber_n=fiber_n, **kw))
-    return solver, init_state(solver.ops, solver.fd, solver.bd)
+    return solver, init_state(solver.ops, solver.fd, solver.kappa_bar)
 
 
 def _sawtooth_coeffs(sigma, K):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_adapt_penalty_rules():
 
 def test_init_state_feasible():
     solver = _solver(meshgen.disk(4), degree=2)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     assert state.sigma_v.min() == pytest.approx(TAU_BAR_VERTICAL)
     np.testing.assert_allclose(state.sigma_h, 0.0)
     np.testing.assert_allclose(state.gamma, solver.kappa_bar)
@@ -78,7 +79,7 @@ def test_init_state_feasible():
 
 def test_init_state_planar_gamma_zero():
     solver = _solver(meshgen.disk(4), degree=4)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     np.testing.assert_allclose(state.gamma, 0.0, atol=1e-12)
 
 
@@ -87,7 +88,7 @@ def test_init_state_planar_gamma_zero():
 def test_frequency_solve_contract_and_conjugation():
     mesh = meshgen.saddle(4)
     solver = _solver(mesh, degree=2)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     rng = np.random.default_rng(0)
     state.sigma_h = rng.standard_normal(state.sigma_h.shape) * 0.1
     state.sigma_v += rng.standard_normal(state.sigma_v.shape) * 0.1
@@ -153,7 +154,7 @@ def test_zero_system_homogeneous_and_beta_size():
 def test_kkt_residual_every_iteration():
     mesh = meshgen.disk(4)
     solver = _solver(mesh, degree=4)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     for _ in range(25):
         solver.iterate(state)
         f0, phi, beta, rhs1, rhs2 = solver._last_zero
@@ -183,12 +184,29 @@ def test_saddle_refactor_penalty_pairs(mesh):
     # the Schur complement depends only on mu/nu: (2, 2) and (2^-15, 2^5)
     # reuse the LUs of (1, 1) and (2^-20, 1)
     assert len(systems._schurs) == 4
-    # f0 and phi come from sparse back-substitution: the only dense block
-    # taller than the boundary is the penalty-free M Lc^-1 C2^T
+    # f0 and phi come from sparse back-substitution: no dense block is
+    # taller than the boundary
     n_be = len(solver._g0)
     tall = [name for name, value in vars(systems).items()
             if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] > n_be]
-    assert tall == ["_W2"]
+    assert tall == []
+
+
+def test_saddle_build_memory_below_one_tall_block():
+    # the boundary blocks are formed from chunks of sparse columns: the
+    # first two builds never hold an interior-edge by boundary-edge array
+    mesh = meshgen.disk(36)
+    solver = _solver(mesh, degree=4)
+    tall_bytes = 8 * len(mesh.interior_edges) * len(solver._g0)
+    tracemalloc.start()
+    try:
+        solver.systems.refactor(1.0, 1.0)
+        solver.systems.refactor(2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver.systems.builds == 2 and len(solver.systems._schurs) == 2
+    assert peak < tall_bytes
 
 
 def _reference_iterate(solver, state):
@@ -239,8 +257,8 @@ def test_in_place_sweep_matches_reference(mesh, mu0):
     # (On disk(5) a first mu of 2^6 drives nu to 1e-11, where the saddle
     # amplifies round-off between any two summation orders past 1e-12.)
     fast, slow = _solver(mesh, degree=4), _solver(mesh, degree=4)
-    a = init_state(fast.ops, fast.fd, fast.bd)
-    b = init_state(slow.ops, slow.fd, slow.bd)
+    a = init_state(fast.ops, fast.fd, fast.kappa_bar)
+    b = init_state(slow.ops, slow.fd, slow.kappa_bar)
     a.mu = b.mu = mu0
     mus = set()
 
@@ -318,7 +336,7 @@ def test_boundary_fiber_reconstruction_is_fejer():
     # boundary corner rebuild the unit-mass Fejer spike, hence stay >= 0
     mesh = meshgen.fan_disk(12)
     solver = _solver(mesh, degree=1)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     for k in range(1, solver.fd.k_max + 1):
         full = np.zeros(len(mesh.vertices), dtype=complex)
         full[solver.systems.b_vertices] = solver.bd.coefficient(k)
@@ -340,7 +358,7 @@ def test_boundary_fiber_reconstruction_is_fejer():
 def test_reconstruction_reality():
     mesh = meshgen.spherical_cap(3)
     solver = _solver(mesh, degree=2)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     rng = np.random.default_rng(5)
     state.f = rng.standard_normal(state.f.shape) + 1j * rng.standard_normal(state.f.shape)
     state.f[0] = state.f[0].real
@@ -454,7 +472,7 @@ def test_curved_base_index_budget():
 def test_positivity_after_every_iteration():
     mesh = meshgen.disk(4)
     solver = _solver(mesh, degree=4)
-    state = init_state(solver.ops, solver.fd, solver.bd)
+    state = init_state(solver.ops, solver.fd, solver.kappa_bar)
     for _ in range(40):
         solver.iterate(state)
         assert state.sigma_v.min() >= 0.0
