@@ -1,10 +1,11 @@
 """Command-line pipeline: mesh in, field/singularity/diagnostic files out.
 
 Outputs are plain text with fixed column orders so plotting and meshing
-stay external. Exit code 0 means the solve converged, 2 means it hit the
-iteration cap (partial results are still written), 1 is any error:
-:func:`main` reports a ``ValueError``, ``OSError`` or ``RuntimeError``
-from any stage as one ``error: ...`` line.
+stay external. Exit code 0 means the solve converged, 2 that it hit the
+iteration cap, 1 any error: :func:`main` prints a ``ValueError``,
+``OSError`` or ``RuntimeError`` from any stage as one ``error: ...`` line.
+A capped solve, or one whose field is undefined on some faces (exit 1,
+``undefined_faces N`` in diagnostics.txt), still writes every file.
 """
 
 import argparse
@@ -236,7 +237,8 @@ def run(config):
     mask = _read_mask_file(config.mask, mesh) if config.mask else None
     res = run_admm(mesh, _solver_config(config, lam, mask), boundary, atlas=atlas)
     field = extract_field(res.state, res.ops)
-    area = graph_area(field, res.ops, config.radius)   # raises if the field is undefined
+    undefined = int(np.count_nonzero(~field.defined[mesh.triangles].all(axis=1)))
+    area = float("nan") if undefined else graph_area(field, res.ops, config.radius)
     sing = extract_singularities(res.state.gamma, res.ops, config.degree)
 
     _write_rows(path("field.txt"), _FIELD_ROW, vertex, field.angle, field.confidence)
@@ -262,6 +264,7 @@ def run(config):
              "converged %d" % int(rep.converged),
              "saddle_builds %d" % rep.saddle_builds,
              "graph_area %.17g" % area,
+             "undefined_faces %d" % undefined,
              "kkt_residual %.6g" % rep.kkt_residual,
              "final_residuals %s" % " ".join("%.6g" % r for r in rep.residuals)]
     lines += ["time_%s_seconds %.6f" % (k, v) for k, v in sorted(rep.timings.items())]
@@ -273,6 +276,8 @@ def run(config):
     lines += ["resid %d %s" % (i, " ".join("%.6g" % r for r in row))
               for i, row in enumerate(rep.residual_history)]
     _write_rows(path("diagnostics.txt"), "%s\n", lines)
+    if undefined:
+        raise ValueError("field is undefined on %d faces" % undefined)
     return 0 if rep.converged else 2
 
 

@@ -10,8 +10,7 @@ factored when the solver is built, the edge-midpoint Laplacian at the
 first saddle build, all by :func:`spd_lu`. A penalty change refactors
 one block with Laplacian sparsity, and the dense boundary Schur
 complement once per penalty ratio. Only sparse factors and dense blocks
-with one row per boundary edge are stored; each saddle solve
-back-substitutes through the sparse factors.
+with one row per boundary edge are stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
@@ -62,10 +61,7 @@ def spd_lu(matrix):
 def _gram(lu, C):
     """Dense ``C lu^-1 C^T`` for sparse ``C``, solving 64 columns of ``C^T`` at a time."""
     Ct = C.T.tocsc()
-    out = np.empty((C.shape[0], C.shape[0]))
-    for j in range(0, C.shape[0], 64):
-        out[:, j:j + 64] = C @ lu.solve(Ct[:, j:j + 64].toarray())
-    return out
+    return np.hstack([C @ lu.solve(Ct[:, j:j + 64].toarray()) for j in range(0, C.shape[0], 64)])
 
 
 @dataclass
@@ -249,16 +245,15 @@ class GlobalSystems:
     ``K2^-1 = A^-1 M Lc^-1``. The boundary rows are ``C1 = B G_fem`` and
     ``C2 = B J G_cr`` (``B`` the circulation matrix, ``J`` the per-face
     quarter turn). ``mu*ell`` times the Schur complement depends only on
-    ``t = mu*ell/nu``: by the resolvent identity it is ``S0 - nu C2 A^-1 C2^T``,
-    with ``A = nu (Lc + t M)`` refactored every build and the penalty-free
-    ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, whose second term is added when
-    the first :meth:`refactor` factors ``Lc``. A gradient circulates to zero
-    around a closed loop, so along the unit loop indicators ``Q`` that
-    difference cancels in proportion to ``t``; those rows and columns take
-    the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` instead. One LU is
-    kept per ``t``. ``S0``, ``Q``, the sparse factors and these LUs are all
-    that is stored; :meth:`solve_zero` back-substitutes through them.
-    ``builds`` and ``build_seconds`` count and time the builds.
+    ``t = mu*ell/nu``: by the resolvent identity it is ``S0 - nu C2 A^-1 C2^T``
+    with ``A = nu (Lc + t M)``, refactored every build, and the penalty-free
+    ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, complete from the first build on.
+    A gradient circulates to zero around a closed loop, so that difference
+    cancels along the unit loop indicators ``Q`` in proportion to ``t``;
+    there the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it.
+    ``S0``, ``Q``, the sparse factors and one LU per ``t`` are all that is
+    stored; :meth:`solve_zero` back-substitutes through them. ``builds`` and
+    ``build_seconds`` count and time the builds.
     """
 
     def __init__(self, ops, fd, boundary_data):

@@ -227,17 +227,38 @@ def test_singular_boundary_coupling_exit_code(disk_obj, tmp_path, capsys):
     assert "singular boundary coupling" in err
 
 
-def test_undefined_field_exit_code(disk_obj, tmp_path, capsys):
-    # at a vanishing radius the solved field is undefined on some faces:
-    # the run stops with one error line before writing any output file
-    out = tmp_path / "o"
-    code = main(["--mesh", disk_obj, "--radius", "1e-10", "--degree", "4",
-                 "--fiber-n", "16", "--out", str(out)])
+def _assert_undefined_field_outcome(code, out, capsys):
+    # the finished solve is written out, then reported as one error line
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert "field is undefined on" in err
-    assert list(out.iterdir()) == []
+    n_undefined = int(err.split("field is undefined on ")[1].split()[0])
+    assert n_undefined > 0
+    for name in ("field.txt", "frames.txt", "singularities.txt", "gamma.txt"):
+        assert (out / name).stat().st_size > 0
+    diag = dict(line.split(" ", 1) for line in
+                (out / "diagnostics.txt").read_text().splitlines()[:7])
+    assert diag["undefined_faces"] == str(n_undefined)
+    assert diag["graph_area"] == "nan"
+
+
+def test_undefined_field_exit_code(disk_obj, tmp_path, capsys):
+    # at a vanishing radius the solved field is undefined on some faces
+    out = tmp_path / "o"
+    code = main(["--mesh", disk_obj, "--radius", "1e-10", "--degree", "4",
+                 "--fiber-n", "16", "--out", str(out)])
+    _assert_undefined_field_outcome(code, out, capsys)
+
+
+def test_undefined_field_symmetric_fan(tmp_path, capsys):
+    # on the symmetric fan the index-1 singularity falls on the hub vertex,
+    # so the field is undefined there at the default radius
+    mesh_path = tmp_path / "fan.obj"
+    meshgen.write_obj(mesh_path, meshgen.fan_disk(12))
+    out = tmp_path / "o"
+    code = main(["--mesh", str(mesh_path), "--degree", "4", "--fiber-n", "16",
+                 "--out", str(out)])
+    _assert_undefined_field_outcome(code, out, capsys)
 
 
 def _minsec(mesh_path, out, *extra):
