@@ -9,8 +9,9 @@ per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built, the edge-midpoint Laplacian at the
 first saddle build, all by :func:`spd_lu`. A penalty change refactors
 one block with Laplacian sparsity, and the dense boundary Schur
-complement once per penalty ratio. Only sparse factors and dense blocks
-with one row per boundary edge are stored; saddle solves back-substitute.
+complement once per penalty ratio, from the trailing blocks of transient
+factors (:func:`_gram`). Only sparse factors and dense blocks with one row
+per boundary edge are stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner scatter and transport powers of
 :mod:`operators`; the solver builds none of its own.
@@ -51,17 +52,34 @@ ADAPT_RATIO = 10.0
 ADAPT_FACTOR = 2.0
 
 
-def spd_lu(matrix):
+def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU of a symmetric (or Hermitian) positive definite matrix:
-    symmetric fill-reducing ordering, diagonal pivots."""
-    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+    symmetric fill-reducing ordering unless ``permc_spec`` names another, diagonal pivots."""
+    return splu(matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
 
 
-def _gram(lu, C):
-    """Dense ``C lu^-1 C^T`` for sparse ``C``, solving 64 columns of ``C^T`` at a time."""
-    Ct = C.T.tocsc()
-    return np.hstack([C @ lu.solve(Ct[:, j:j + 64].toarray()) for j in range(0, C.shape[0], 64)])
+def _gram(lu, K, C):
+    """Dense ``C K^-1 C^T`` for SPD ``K`` and CSC ``C``, with no column solves.
+
+    ``K`` is factored again with the ``m`` columns ``C`` touches (the band)
+    last and the others in ``lu``'s order. With ``U_tt`` the trailing ``m x m``
+    block of its ``U`` and ``D`` the diagonal, ``K^-1`` on the band is
+    ``(U_tt^T D^-1 U_tt)^-1``, so the Gram is ``Z^T D Z``, ``Z = U_tt^-T C_band^T``.
+    """
+    band = np.diff(C.indptr) > 0
+    order = np.argsort(lu.perm_c)
+    order = np.concatenate([order[~band[order]], order[band[order]]])
+    lead = K.shape[0] - band.sum()
+    trail = spd_lu(K[order][:, order], permc_spec="NATURAL")
+    pos = trail.perm_c[lead:] - lead
+    if pos.min() < 0 or not np.array_equal(trail.perm_r[lead:] - lead, pos):
+        raise RuntimeError("boundary band left the trailing block of its factor")
+    U = trail.U.tocsc()[lead:, lead:].toarray()
+    X = np.empty((len(pos), C.shape[0]))
+    X[pos] = C[:, order[lead:]].T.toarray()
+    Z = sla.solve_triangular(U, X, trans="T", overwrite_b=True)
+    return (Z.T * np.diag(U)) @ Z
 
 
 @dataclass
@@ -250,10 +268,12 @@ class GlobalSystems:
     ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, complete from the first build on.
     A gradient circulates to zero around a closed loop, so that difference
     cancels along the unit loop indicators ``Q`` in proportion to ``t``;
-    there the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it.
-    ``S0``, ``Q``, the sparse factors and one LU per ``t`` are all that is
-    stored; :meth:`solve_zero` back-substitutes through them. ``builds`` and
-    ``build_seconds`` count and time the builds.
+    there the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it,
+    solving one column per loop. Each Gram ``C K^-1 C^T`` (``K`` is ``L0_ff``
+    at setup, ``Lc`` at the first build, ``A`` at each new ``t``) comes from
+    :func:`_gram`. ``S0``, ``Q``, the sparse factors and one LU per ``t`` are
+    all that is stored; :meth:`solve_zero` back-substitutes through them.
+    ``builds`` and ``build_seconds`` count and time the builds.
     """
 
     def __init__(self, ops, fd, boundary_data):
@@ -281,14 +301,15 @@ class GlobalSystems:
             self._freq[k] = (lu, L[self.interior][:, self.b_vertices].tocsc())
 
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        self._lu0 = spd_lu(L0[self.free0][:, self.free0])
+        L0_ff = L0[self.free0][:, self.free0]
+        self._lu0 = spd_lu(L0_ff)
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
         self._C1f = self._C1[:, self.free0]
-        self._S0 = _gram(self._lu0, self._C1f)          # C2 Lc^-1 C2^T joins at the first build
+        self._S0 = _gram(self._lu0, L0_ff, self._C1f)  # C2 Lc^-1 C2^T joins at build 1
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
@@ -308,11 +329,14 @@ class GlobalSystems:
         cr, C2, Q = self.ops.cr, self._C2, self._Q
         if self._lu_lc is None:
             self._lu_lc = spd_lu(cr.laplacian)
-            self._S0 += _gram(self._lu_lc, C2)
-        self._lu_a = spd_lu(cr.shifted_laplacian(mu_ell, nu))
+            self._S0 += _gram(self._lu_lc, cr.laplacian, C2)
+        A = cr.shifted_laplacian(mu_ell, nu)
         t = mu_ell / nu
-        if t not in self._schurs:
-            S = self._S0 - nu * _gram(self._lu_a, C2)
+        self._lu_a = None       # not held beside _gram's factor; A takes Lc's order
+        G = None if t in self._schurs else _gram(self._lu_lc, A, C2)
+        self._lu_a = spd_lu(A)
+        if G is not None:
+            S = self._S0 - nu * G
             # the difference cancels along the loops; there SQ, in product form, replaces it
             SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
             S -= Q @ (Q.T @ S)

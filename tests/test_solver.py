@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import meshgen
+from minsec import solver as solver_module
 from minsec.bundle import TAU_BAR_VERTICAL, fejer_delta
 from minsec.cli import main
 from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
-from minsec.solver import (AdmmSolver, SolverConfig, adapt_penalty, init_state,
-                           local_step_gamma, local_step_sigma, metric_sq, run_admm)
+from minsec.solver import (AdmmSolver, SolverConfig, _gram, adapt_penalty, init_state,
+                           local_step_gamma, local_step_sigma, metric_sq, run_admm, spd_lu)
 
 
 def _solver(mesh, **kw):
@@ -207,6 +208,69 @@ def test_saddle_build_memory_below_one_tall_block():
         tracemalloc.stop()
     assert solver.systems.builds == 2 and len(solver.systems._schurs) == 2
     assert peak < tall_bytes
+
+
+def _gram_pairs(systems):
+    """Every (ordering factor, matrix, C) triple whose Gram enters the Schur
+    complement; ``A`` has the pattern of ``Lc`` and takes its ordering."""
+    cr, C2 = systems.ops.cr, systems._C2
+    L0_ff = systems._L0[systems.free0][:, systems.free0]
+    lu_lc = spd_lu(cr.laplacian)
+    pairs = [(systems._lu0, L0_ff, systems._C1f), (lu_lc, cr.laplacian, C2)]
+    for t in (2.0 ** -20, 1.0, 2.0 ** 20):
+        pairs.append((lu_lc, cr.shifted_laplacian(t, 1.0), C2))
+    return pairs
+
+
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.spherical_cap(6),
+                                  meshgen.fan_disk(12)],
+                         ids=["disk", "annulus", "cap", "fan"])
+def test_gram_matches_column_solves(mesh):
+    # the trailing-block Gram against the column-solve form; the band is on
+    # two loops on the annulus and is every interior edge on the fan disk
+    for lu, K, C in _gram_pairs(_solver(mesh, degree=4).systems):
+        oracle = C @ spd_lu(K).solve(C.T.toarray())
+        G = _gram(lu, K, C)
+        assert np.abs(G - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_gram_rejects_band_outside_trailing_block(monkeypatch):
+    # a factor that reorders the band away from the end must not yield a block
+    systems = _solver(meshgen.disk(5), degree=4).systems
+    lu, K, C = _gram_pairs(systems)[1]
+    monkeypatch.setattr(solver_module, "spd_lu", lambda matrix, permc_spec=None:
+                        spd_lu(matrix, permc_spec="COLAMD"))
+    with pytest.raises(RuntimeError, match="trailing block"):
+        _gram(lu, K, C)
+
+
+class _RecordingLU:
+    """A sparse factor that records the column count of every solve."""
+
+    def __init__(self, lu, widths):
+        self._lu, self._widths = lu, widths
+
+    def solve(self, rhs):
+        self._widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
+    # no boundary-edge-wide block of columns is solved: the Grams come from
+    # trailing factor blocks, only the loop product form solves
+    widths = []
+    real_splu = solver_module.splu
+    monkeypatch.setattr(solver_module, "splu",
+                        lambda *args, **kw: _RecordingLU(real_splu(*args, **kw), widths))
+    mesh = meshgen.disk(36)
+    systems = _solver(mesh, degree=4).systems
+    systems.refactor(1.0, 1.0)
+    systems.refactor(2.0, 1.0)
+    assert systems.builds == 2 and len(systems._schurs) == 2
+    assert widths and max(widths) <= len(mesh.boundary_loops)
 
 
 def _reference_iterate(solver, state):
