@@ -69,6 +69,11 @@ def fourier_forward(samples, k_max):
     if n <= 2 * k_max:
         raise ValueError("need more than 2*k_max samples, got %d for k_max=%d"
                          % (n, k_max))
+    return _forward(x, k_max)
+
+
+def _forward(x, k_max):
+    """:func:`fourier_forward` of a sample array, unchecked."""
     return np.fft.rfft(x, norm="forward")[..., :k_max + 1]
 
 
@@ -81,19 +86,12 @@ def fourier_inverse(coeffs, n):
     c = np.asarray(coeffs)
     if c.shape[-1] > n // 2:
         raise ValueError("need at most n/2 coefficients, got %d for n=%d" % (c.shape[-1], n))
+    return _inverse(c, n)
+
+
+def _inverse(c, n):
+    """:func:`fourier_inverse` of a coefficient array, unchecked."""
     return np.fft.irfft(c, n, norm="forward")
-
-
-def fejer_delta(gamma0, k_max, theta):
-    """Nonnegative kernel ``sum_{|k|<=K} (1 - |k|/K) e^{ik(theta - gamma0)}``.
-
-    Peaks at ``theta = gamma0`` with value ``K``; its mean over the circle
-    is 1 (only the zero frequency survives integration).
-    """
-    x = np.asarray(theta) - gamma0
-    k = np.arange(1, k_max + 1)
-    weights = 1.0 - k / k_max
-    return 1.0 + 2.0 * np.cos(np.multiply.outer(x, k)) @ weights
 
 
 def make_kappa_bar(atlas, degree):

@@ -13,17 +13,33 @@ complement once per penalty ratio, from the trailing blocks of transient
 factors (:func:`_gram`). Only sparse factors and dense blocks with one row
 per boundary edge are stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
-gradient and circulation matrices, corner scatter and transport powers of
-:mod:`operators`; the solver builds none of its own.
+gradient and circulation matrices, corner incidence and transport powers
+of :mod:`operators`; the solver builds none of its own.
 
-:meth:`AdmmSolver.iterate` updates the state's four sample arrays
-(``sigma_h``, ``sigma_v``, ``w_h``, ``w_v``) in place. The duals are
-overwritten where they are; the local step writes the new ``sigma`` into
-spare buffers that the solver owns, and the arrays they replace hold the
-residual differences, then become the next spares. So an array taken
-from a state before an iteration is overwritten by it; copy it to keep
-it. The state returned by :meth:`AdmmSolver.run` shares no memory with
-the solver's spares.
+:meth:`AdmmSolver.iterate` does all sample work of an iteration in two
+sweeps over face chunks: before the solves, the face sums, forward
+transform, per-face right-hand sides and conjugate transport; after
+them, reconstruction, shrinkage, dual update and the partial sums of the
+two sample residuals and the sample mass. A chunk holds as many whole
+faces as fit in ``_CHUNK_SAMPLES`` corner-fiber samples (at least one),
+so the chunk bounds and the order in which partial sums are added depend
+on the mesh and ``fiber_n`` only: results are bitwise the same however
+many threads run the chunks. A one-chunk mesh runs them inline; otherwise
+they go to a module-level thread pool of at most one thread per usable
+core (numpy releases the GIL in its array loops). Worker threads call no
+public function or method of the package: the span tracing of
+``perfbench`` keeps one span stack for all threads, so every traced call
+must come from the main thread. The sparse solves and the penalty logic
+stay there.
+
+The sweeps update the state's four sample arrays (``sigma_h``,
+``sigma_v``, ``w_h``, ``w_v``) in place. The duals are overwritten where
+they are; the local step writes the new ``sigma`` into spare buffers that
+the solver owns, and the arrays they replace hold the residual
+differences, then become the next spares. So an array taken from a state
+before an iteration is overwritten by it; copy it to keep it. The state
+returned by :meth:`AdmmSolver.run` shares no memory with the solver's
+spares.
 
 A solve is set by the seven :class:`SolverConfig` fields ``lam``,
 ``radius``, ``degree``, ``fiber_n``, ``eps``, ``max_iters`` and ``mask``.
@@ -32,7 +48,9 @@ is recorded every iteration.
 """
 
 import numbers
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +58,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .bundle import (TAU_BAR_VERTICAL, FiberDiscretization, check_fiber,
-                     fourier_forward, fourier_inverse, make_boundary_data,
-                     make_kappa_bar)
+from .bundle import (TAU_BAR_VERTICAL, FiberDiscretization, _forward, _inverse,
+                     check_fiber, make_boundary_data, make_kappa_bar)
 from .mesh import build_transport
 from .operators import OperatorSet, quarter_turn
 
@@ -50,6 +67,20 @@ from .operators import OperatorSet, quarter_turn
 #: exceeds ADAPT_RATIO times the other.
 ADAPT_RATIO = 10.0
 ADAPT_FACTOR = 2.0
+
+#: Corner-fiber samples per chunk of the sample sweeps (whole faces, at least one).
+_CHUNK_SAMPLES = 2 ** 16
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: Runs the chunks of multi-chunk sweeps; threads start as chunks are submitted.
+_POOL = ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="minsec-sweep")
 
 
 def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
@@ -187,6 +218,10 @@ def metric_sq(h, v, radius, per_corner=False):
 
     With ``per_corner`` it is summed over each corner's fiber (the last axis).
     """
+    return _metric_sq(h, v, radius, per_corner)
+
+
+def _metric_sq(h, v, radius, per_corner=False):
     if per_corner:
         h_sub, v_sub = "cdm,cdm->c", "cm,cm->c"
     else:
@@ -199,6 +234,21 @@ def metric_sq(h, v, radius, per_corner=False):
 def _by_face(x):
     """View corner-indexed samples ``(3 n_f, ...)`` as ``(n_f, 3, ...)``."""
     return x.reshape(-1, 3, *x.shape[1:])
+
+
+def _corners(faces):
+    """Corner rows ``3*face + j`` of a slice of faces."""
+    return slice(3 * faces.start, 3 * faces.stop)
+
+
+def _measure_sq(measure, h, v, radius):
+    """``sum(measure * |sample|^2)`` over corners, the squared sample norm."""
+    return np.sum(measure * _metric_sq(h, v, radius, per_corner=True))
+
+
+def _sample_mass(measure, density):
+    """``sum(measure * density)`` over corners and fiber samples."""
+    return np.sum(measure * density.sum(axis=1))
 
 
 def sample_density(state, radius):
@@ -215,9 +265,13 @@ def local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
     pair of buffers for the result; ``density``, if given, receives the
     result's metric norm ``max(|hat| - 1/mu, 0)`` per sample.
     """
+    return _local_step_sigma(hat_h, hat_v, mu, radius, out, density)
+
+
+def _local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
     out_h, out_v = (None, None) if out is None else out
     v = np.maximum(hat_v, 0.0, out=out_v)
-    norm = metric_sq(hat_h, v, radius)
+    norm = _metric_sq(hat_h, v, radius)
     np.sqrt(norm, out=norm)
     shrunk = np.subtract(norm, 1.0 / mu, out=density)
     np.maximum(shrunk, 0.0, out=shrunk)
@@ -290,6 +344,19 @@ class GlobalSystems:
         self.pin = int(self.b_vertices.min())
         self.free0 = np.delete(np.arange(n_v), self.pin)
 
+        self._L0 = L0 = ops.laplacian(0).real.tocsc()
+        L0_ff = L0[self.free0][:, self.free0]
+        self._lu0 = spd_lu(L0_ff)
+
+        B = ops.boundary
+        J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
+        self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
+        self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
+        self._C1f = self._C1[:, self.free0]
+        # before the frequency factors exist, so _gram's transient factor
+        # does not add to theirs; C2 Lc^-1 C2^T joins at build 1
+        self._S0 = _gram(self._lu0, L0_ff, self._C1f)
+
         self._freq = {}
         for k in range(1, fd.k_max + 1):
             L = ops.laplacian(k)
@@ -300,16 +367,6 @@ class GlobalSystems:
                                    % (k, exc)) from exc
             self._freq[k] = (lu, L[self.interior][:, self.b_vertices].tocsc())
 
-        self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        L0_ff = L0[self.free0][:, self.free0]
-        self._lu0 = spd_lu(L0_ff)
-
-        B = ops.boundary
-        J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
-        self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
-        self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
-        self._C1f = self._C1[:, self.free0]
-        self._S0 = _gram(self._lu0, L0_ff, self._C1f)  # C2 Lc^-1 C2^T joins at build 1
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
@@ -415,48 +472,118 @@ class AdmmSolver:
         self.kappa_bar = make_kappa_bar(self.atlas, config.degree)
         self.systems = GlobalSystems(self.ops, self.fd, self.bd)
         self.mask_cols = self.ops.cr.mask_columns([] if config.mask is None else config.mask)
-        self._phase_times = {"global": 0.0, "local": 0.0, "dual": 0.0,
-                             "residual": 0.0}
+        self._phase_times = {"global": 0.0, "sweep": 0.0}
 
         w = self.ops.fem.corner_weight.ravel()
         self._corner_measure = w * (self.fd.length / self.fd.n)   # of each sample at a corner
-        # spare sigma buffers of the in-place sweep, swapped with the state's,
-        # and the density of the new sigma
-        n_c, n = 3 * len(mesh.triangles), self.fd.n
-        self._spare_sigma = (np.empty((n_c, 2, n)), np.empty((n_c, n)))
-        self._density = np.empty((n_c, n))
+        n_f, n, K = len(mesh.triangles), self.fd.n, self.fd.k_max
+        step = max(1, _CHUNK_SAMPLES // (3 * n))
+        self._chunks = [slice(f, min(f + step, n_f)) for f in range(0, n_f, step)]
+        # what the chunk kernels read besides the state, so that they touch
+        # no property or public method
+        self._k_max = K
+        self._face_third = self.ops.fem.face_area / 3.0
+        self._ik = 1j * np.arange(K + 1)
+        self._vertical_factor = -1j * np.arange(K + 1) / config.radius ** 2
+        # the pre-solve sweep's output: conjugate-transported corner terms of
+        # every frequency, and each face's zero-frequency horizontal coefficient
+        self._rhs_corner = np.empty((n_f, 3, K + 1), dtype=complex)
+        self._face_h0 = np.empty((n_f, 2))
+        # spare sigma buffers of the in-place sweep, swapped with the state's
+        self._spare_sigma = (np.empty((3 * n_f, 2, n)), np.empty((3 * n_f, n)))
         # boundary circulation of the reconstructed horizontal part equals
         # minus the winding of the boundary data (the interior-edge block
         # rotates gradients by +90 degrees, so positively wound data drives
         # positive singularity density)
         self._g0 = -self.bd.edge_winding
 
+    # -- the face-chunk sweeps ---------------------------------------------
+
+    def _map(self, kernel, *args):
+        """``kernel(faces, *args)`` for every face chunk; the results in chunk order."""
+        if len(self._chunks) == 1:
+            return [kernel(self._chunks[0], *args)]
+        jobs = [_POOL.submit(kernel, faces, *args) for faces in self._chunks]
+        wait(jobs)          # no chunk is still running when one has failed
+        return [job.result() for job in jobs]
+
+    def _rhs_chunk(self, faces, state):
+        """Pre-solve sweep of one chunk: the conjugate-transported per-corner
+        right-hand-side terms of every frequency into ``_rhs_corner``, and the
+        zero-frequency horizontal coefficients into ``_face_h0``. Only the
+        per-face sum of the horizontal samples enters them."""
+        fem, corners, K = self.ops.fem, _corners(faces), self._k_max
+        alpha_h = _by_face(state.sigma_h[corners]).sum(axis=1)
+        alpha_h += _by_face(state.w_h[corners]).sum(axis=1)
+        face_h = _forward(alpha_h, K)                            # (n, 2, K+1)
+        face_h *= self._face_third[faces, None, None]
+        self._face_h0[faces] = face_h[:, :, 0].real
+        Cv = _by_face(_forward(state.sigma_v[corners] + state.w_v[corners], K))
+        Cv[:, :, 0] -= TAU_BAR_VERTICAL
+        out = self._rhs_corner[faces]                            # (n, 3, K+1)
+        np.matmul(fem.hat_gradient[faces].transpose(0, 2, 1), face_h, out=out)
+        mc = np.matmul(fem.corner_mass[faces], Cv)
+        mc *= self._vertical_factor
+        out += mc
+        out *= np.conj(self.ops.transport_pow[faces])
+
+    def _coefficients(self, state):
+        """What reconstruction reads: the vertex coefficients with frequency
+        last, and the quarter-turned edge-midpoint gradient of ``phi`` per face."""
+        turned = quarter_turn(self.ops.cr_face_gradient(state.phi))
+        return np.ascontiguousarray(state.f.T), turned
+
+    def _reconstruct(self, coeffs, faces):
+        """:meth:`reconstruct` on the faces in the slice ``faces``."""
+        f_t, turned = coeffs
+        ops, n = self.ops, self.fd.n
+        fc = ops.transport_pow[faces] * f_t[self.mesh.triangles[faces]]    # (n, 3, K+1)
+        CH = np.matmul(ops.fem.hat_gradient[faces], fc)                    # (n, 2, K+1)
+        CV = fc * self._ik
+        CH[:, :, 0] += turned[faces]
+        CV[:, :, 0] += TAU_BAR_VERTICAL
+        return _inverse(CH, n), _inverse(CV, n).reshape(-1, n)
+
+    def _sweep_chunk(self, faces, state, coeffs, new):
+        """Post-solve sweep of one chunk; returns its shares of the squared
+        primal and dual sample residuals and of the sample mass.
+
+        ``hat = R - w`` is written over the duals, the local step writes the
+        new ``sigma`` into ``new`` and ``w = sigma - hat`` goes over ``hat``.
+        The old ``sigma`` takes ``sigma - sigma_prev``, then ``sigma - R``.
+        """
+        corners = _corners(faces)
+        radius, measure = self.config.radius, self._corner_measure[corners]
+        Rh, Rv = self._reconstruct(coeffs, faces)
+        hat_h, hat_v = state.w_h[corners], state.w_v[corners]
+        np.subtract(Rh[:, None], _by_face(hat_h), out=_by_face(hat_h))
+        np.subtract(Rv, hat_v, out=hat_v)
+        new_h, new_v = new[0][corners], new[1][corners]
+        density = np.empty(hat_v.shape)
+        _local_step_sigma(hat_h, hat_v, state.mu, radius, out=(new_h, new_v), density=density)
+        np.subtract(new_h, hat_h, out=hat_h)
+        np.subtract(new_v, hat_v, out=hat_v)
+        prev_h, prev_v = state.sigma_h[corners], state.sigma_v[corners]
+        np.subtract(new_h, prev_h, out=prev_h)
+        np.subtract(new_v, prev_v, out=prev_v)
+        dual = _measure_sq(measure, prev_h, prev_v, radius)
+        np.subtract(_by_face(new_h), Rh[:, None], out=_by_face(prev_h))
+        np.subtract(new_v, Rv, out=Rv)
+        return _measure_sq(measure, prev_h, Rv, radius), dual, _sample_mass(measure, density)
+
     # -- pieces of one iteration ----------------------------------------
 
     def global_step(self, state):
-        ops, fd = self.ops, self.fd
-        r2 = self.config.radius ** 2
-
-        # batched right-hand side pieces for every frequency at once; only
-        # the per-face sum of the horizontal samples enters them
-        alpha_h = _by_face(state.sigma_h).sum(axis=1)
-        alpha_h += _by_face(state.w_h).sum(axis=1)
-        face_h = (ops.fem.face_area / 3.0)[:, None, None] * fourier_forward(alpha_h, fd.k_max)
-        # the spare sigma_v buffer is free until the local step
-        alpha_v = np.add(state.sigma_v, state.w_v, out=self._spare_sigma[1])
-        Cv = _by_face(fourier_forward(alpha_v, fd.k_max))
-        Cv[:, :, 0] -= TAU_BAR_VERTICAL
-        gc_all = np.matmul(ops.fem.hat_gradient.transpose(0, 2, 1), face_h)  # (n_f, 3, K+1)
-        mc_all = np.matmul(ops.fem.corner_mass, Cv)
-        mc_all *= -1j * np.arange(fd.k_max + 1) / r2
-        rhs = ops.scatter_corners(gc_all + mc_all)                # (n_v, K+1)
-        for k in range(1, fd.k_max + 1):
+        ops, K = self.ops, self._k_max
+        self._map(self._rhs_chunk, state)
+        rhs = ops.corner_incidence @ self._rhs_corner.reshape(-1, K + 1)    # (n_v, K+1)
+        for k in range(1, K + 1):
             state.f[k] = self.systems.solve_frequency(k, rhs[:, k])
 
         # frequency zero: conforming + edge-midpoint blocks meet at the boundary
-        mu_ell = state.mu * fd.length
+        mu_ell = state.mu * self.fd.length
         self.systems.refactor(state.mu, state.nu)
-        face_h0 = face_h[:, :, 0].real
+        face_h0 = self._face_h0
         rhs1 = mu_ell * (ops.fem.gradient.T @ face_h0.ravel())
         jt_h0 = -quarter_turn(face_h0)        # adjoint of the quarter turn
         g = state.gamma - self.kappa_bar + state.z
@@ -475,21 +602,8 @@ class AdmmSolver:
         same at the face's three corners. The vertical part is per corner,
         ``(n_c, N)``.
         """
-        ops, fd = self.ops, self.fd
-        n_f = len(self.mesh.triangles)
-        K = fd.k_max
-        tri = self.mesh.triangles
-
-        # per-corner coefficients, frequency last: (n_f, 3, K+1)
-        fc = ops.transport_pow * np.ascontiguousarray(state.f.T)[tri]
-        CH = np.matmul(ops.fem.hat_gradient, fc)                 # (n_f, 2, K+1)
-        CV = fc * (1j * np.arange(K + 1))
-        CH[:, :, 0] += quarter_turn(ops.cr_face_gradient(state.phi))
-        CV[:, :, 0] += TAU_BAR_VERTICAL
-
-        Rh = fourier_inverse(CH, fd.n)                           # (n_f, 2, N)
-        Rv = fourier_inverse(CV, fd.n)                           # (n_f, 3, N)
-        return Rh, Rv.reshape(3 * n_f, fd.n)
+        return self._reconstruct(self._coefficients(state),
+                                 slice(0, len(self.mesh.triangles)))
 
     def gamma_target(self, state):
         cr = self.ops.cr
@@ -497,70 +611,47 @@ class AdmmSolver:
 
     def sigma_norm(self, h, v):
         """Mass-weighted bundle-metric norm over corner samples."""
-        per_corner = metric_sq(h, v, self.config.radius, per_corner=True)
-        return np.sqrt(np.sum(self._corner_measure * per_corner))
+        return np.sqrt(_measure_sq(self._corner_measure, h, v, self.config.radius))
 
     def gamma_norm(self, g):
         return np.sqrt(np.sum(self.ops.cr.mass * g * g))
 
-    def objective(self, state, density=None):
-        """Mass of the section current plus the weighted singularity mass.
+    def objective(self, state):
+        """Mass of the section current plus the weighted singularity mass."""
+        density = sample_density(state, self.config.radius)
+        return self._objective(_sample_mass(self._corner_measure, density), state.gamma)
 
-        ``density`` is the bundle-metric norm of each sample of ``state``
-        when the caller has it already (the sweep does); by default it is
-        computed with :func:`sample_density`.
-        """
-        if density is None:
-            density = sample_density(state, self.config.radius)
-        mass_sigma = np.sum(self._corner_measure * density.sum(axis=1))
-        mass_gamma = np.sum(self.ops.cr.mass * self.lam * np.abs(state.gamma))
+    def _objective(self, mass_sigma, gamma):
+        mass_gamma = np.sum(self.ops.cr.mass * self.lam * np.abs(gamma))
         return mass_sigma + float(mass_gamma)
 
     def iterate(self, state):
-        """One in-place ADMM sweep; returns the four residuals and the objective.
+        """One in-place ADMM iteration; returns the four residuals and the objective.
 
-        ``hat = R - w`` is written over the duals, the local step writes the
-        new ``sigma`` into the spare buffers and ``w = sigma - hat`` goes over
-        ``hat``. The old ``sigma`` buffers take ``sigma - sigma_prev``, then
-        ``sigma - R``, and become the spares.
+        The sample work runs in the two face-chunk sweeps (:meth:`_rhs_chunk`
+        inside :meth:`global_step`, then :meth:`_sweep_chunk`); their partial
+        sums are added in chunk order. The old ``sigma`` buffers end up
+        holding ``sigma - R`` and become the spares.
         """
-        cfg = self.config
         t0 = time.perf_counter()
         self.global_step(state)
-        Rh, Rv = self.reconstruct(state)
         t1 = time.perf_counter()
-        hat_h, hat_v = state.w_h, state.w_v
-        np.subtract(Rh[:, None], _by_face(hat_h), out=_by_face(hat_h))
-        np.subtract(Rv, hat_v, out=hat_v)
-        prev_h, prev_v = state.sigma_h, state.sigma_v
-        state.sigma_h, state.sigma_v = local_step_sigma(
-            hat_h, hat_v, state.mu, cfg.radius, out=self._spare_sigma, density=self._density)
+        new = self._spare_sigma
+        parts = self._map(self._sweep_chunk, state, self._coefficients(state), new)
+        r_p_sq, r_d_sq, mass_sigma = np.sum(parts, axis=0)
+        r_p_mu, r_d_mu = np.sqrt(r_p_sq), np.sqrt(r_d_sq)
+        self._spare_sigma = (state.sigma_h, state.sigma_v)
+        state.sigma_h, state.sigma_v = new
 
         gt = self.gamma_target(state)
         prev_g = state.gamma
         state.gamma = local_step_gamma(gt - state.z, state.nu, self.lam, self.mask_cols)
-        t2 = time.perf_counter()
-
-        np.subtract(state.sigma_h, hat_h, out=hat_h)       # w = sigma - hat
-        np.subtract(state.sigma_v, hat_v, out=hat_v)
         state.z = state.z + state.gamma - gt
-        t3 = time.perf_counter()
-
-        np.subtract(state.sigma_h, prev_h, out=prev_h)
-        np.subtract(state.sigma_v, prev_v, out=prev_v)
-        r_d_mu = self.sigma_norm(prev_h, prev_v)
-        np.subtract(_by_face(state.sigma_h), Rh[:, None], out=_by_face(prev_h))
-        np.subtract(state.sigma_v, Rv, out=Rv)
-        r_p_mu = self.sigma_norm(prev_h, Rv)
-        self._spare_sigma = (prev_h, prev_v)
         r_p_nu = self.gamma_norm(state.gamma - gt)
         r_d_nu = self.gamma_norm(state.gamma - prev_g)
-        t4 = time.perf_counter()
         pt = self._phase_times
         pt["global"] += t1 - t0
-        pt["local"] += t2 - t1
-        pt["dual"] += t3 - t2
-        pt["residual"] += t4 - t3
+        pt["sweep"] += time.perf_counter() - t1
 
         state.mu, s = adapt_penalty(state.mu, r_p_mu, r_d_mu)
         if s != 1.0:
@@ -571,7 +662,7 @@ class AdmmSolver:
             state.z = state.z * s
 
         state.iteration += 1
-        return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu]), self.objective(state, self._density)
+        return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu]), self._objective(mass_sigma, state.gamma)
 
     def run(self):
         cfg = self.config

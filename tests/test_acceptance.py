@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import meshgen
-from minsec.bundle import fejer_delta, make_kappa_bar
+from minsec.bundle import make_kappa_bar
 from minsec.extract import (concentration_cdf, extract_field,
                             extract_singularities, face_angle_gradient,
                             graph_area)
@@ -20,6 +20,7 @@ from minsec.operators import (OperatorSet, assemble_crouzeix_raviart,
                               assemble_stiffness, quarter_turn)
 from minsec.reduced import solve_reduced
 from minsec.solver import SolverConfig, run_admm
+from oracles import fejer_delta
 
 
 def _verdict(num, name, ok, detail):

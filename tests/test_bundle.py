@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import meshgen
-from minsec.bundle import (FiberDiscretization, TAU_BAR_VERTICAL, fejer_delta,
-                           fourier_forward, fourier_inverse, make_boundary_data,
-                           make_kappa_bar)
+from minsec.bundle import (FiberDiscretization, TAU_BAR_VERTICAL, fourier_forward,
+                           fourier_inverse, make_boundary_data, make_kappa_bar)
 from minsec.mesh import build_transport
+from oracles import fejer_delta
 
 
 def test_fiber_discretization_validation():

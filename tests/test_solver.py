@@ -1,4 +1,8 @@
+import concurrent.futures
+import inspect
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,13 +10,14 @@ import pytest
 
 import meshgen
 from minsec import solver as solver_module
-from minsec.bundle import TAU_BAR_VERTICAL, fejer_delta
+from minsec.bundle import TAU_BAR_VERTICAL
 from minsec.cli import main
 from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
 from minsec.solver import (AdmmSolver, SolverConfig, _gram, adapt_penalty, init_state,
                            local_step_gamma, local_step_sigma, metric_sq, run_admm, spd_lu)
+from oracles import fejer_delta
 
 
 def _solver(mesh, **kw):
@@ -312,14 +317,19 @@ def _reference_iterate(solver, state):
     return res, solver.objective(state)
 
 
-@pytest.mark.parametrize("mesh, mu0", [(meshgen.disk(5), 2.0 ** -6),
-                                       (meshgen.annulus(4), 2.0 ** -6),
-                                       (meshgen.annulus(4), 2.0 ** 6)],
-                         ids=["disk-mu_up", "annulus-mu_up", "annulus-mu_down"])
-def test_in_place_sweep_matches_reference(mesh, mu0):
+@pytest.mark.parametrize("mesh, mu0, chunk_faces", [(meshgen.disk(5), 2.0 ** -6, None),
+                                                    (meshgen.annulus(4), 2.0 ** -6, None),
+                                                    (meshgen.annulus(4), 2.0 ** 6, None),
+                                                    (meshgen.annulus(4), 2.0 ** -6, 40)],
+                         ids=["disk-mu_up", "annulus-mu_up", "annulus-mu_down",
+                              "annulus-mu_up-chunked"])
+def test_in_place_sweep_matches_reference(mesh, mu0, chunk_faces, monkeypatch):
     # an off-balance first mu makes the sweep rescale its duals in place.
     # (On disk(5) a first mu of 2^6 drives nu to 1e-11, where the saddle
     # amplifies round-off between any two summation orders past 1e-12.)
+    # The chunked case splits the 235 faces into 6 sweep chunks.
+    if chunk_faces is not None:
+        monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * 16 * chunk_faces)
     fast, slow = _solver(mesh, degree=4), _solver(mesh, degree=4)
     a = init_state(fast.ops, fast.fd, fast.kappa_bar)
     b = init_state(slow.ops, slow.fd, slow.kappa_bar)
@@ -329,6 +339,7 @@ def test_in_place_sweep_matches_reference(mesh, mu0):
     def close(x, y):
         return np.linalg.norm(np.ravel(x - y)) <= 1e-12 * np.linalg.norm(np.ravel(y))
 
+    assert len(fast._chunks) == (1 if chunk_faces is None else 6)
     for _ in range(40):
         res_a, obj_a = fast.iterate(a)
         res_b, obj_b = _reference_iterate(slow, b)
@@ -343,6 +354,103 @@ def test_in_place_sweep_matches_reference(mesh, mu0):
             assert close(getattr(a, name), getattr(b, name)), name
         mus.add(a.mu)
     assert len(mus) >= 3
+
+
+class _InlineExecutor(concurrent.futures.Executor):
+    """Runs every submitted call at once, in the submitting thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+# meshes that the patched chunk size splits into several sweep chunks
+CHUNKED = [(meshgen.disk(8), 64, 50), (meshgen.annulus(6), 16, 100)]
+
+
+@pytest.mark.parametrize("mesh, fiber_n, chunk_faces", CHUNKED, ids=["disk8-n64", "annulus6-n16"])
+def test_sweep_same_inline_and_pooled(mesh, fiber_n, chunk_faces, monkeypatch):
+    # the chunk bounds and the order of the partial sums do not depend on
+    # how many threads run the chunks; more workers than cores, switching
+    # threads often, would expose a chunk writing outside its own faces
+    monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
+    results = []
+    switch = sys.getswitchinterval()
+    try:
+        for pool in (_InlineExecutor(), concurrent.futures.ThreadPoolExecutor(max_workers=3)):
+            monkeypatch.setattr(solver_module, "_POOL", pool)
+            solver = _solver(mesh, degree=4, fiber_n=fiber_n, eps=0.0, max_iters=40)
+            assert len(solver._chunks) >= 6
+            sys.setswitchinterval(1e-5)
+            results.append(solver.run())
+            pool.shutdown()
+    finally:
+        sys.setswitchinterval(switch)
+    a, b = results
+    for name in ("sigma_h", "sigma_v", "w_h", "w_v", "gamma", "z", "f", "phi", "mu", "nu"):
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+    assert np.array_equal(a.report.residual_history, b.report.residual_history)
+    assert np.array_equal(a.report.objective_history, b.report.objective_history)
+    assert len(set(a.report.residual_history[:, 0])) > 1
+
+
+def _public_callables(module):
+    """(owner, attribute, value) of every public function and method defined
+    in ``module``, properties included, as the span tracer wraps them."""
+    for attr, obj in list(vars(module).items()):
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield module, attr, obj
+        elif inspect.isclass(obj):
+            for meth, raw in list(vars(obj).items()):
+                if not meth.startswith("_") or meth == "__init__":
+                    yield obj, meth, raw
+
+
+def test_workers_call_no_public_function(monkeypatch):
+    # every public function, method and property of the package records the
+    # thread it runs on; a multi-chunk solve calls them on the main thread only
+    mesh, fiber_n, chunk_faces = CHUNKED[0]
+    monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
+    monkeypatch.setattr(solver_module, "_POOL", pool)
+    threads = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    package = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "minsec"]
+    for module in package:
+        for owner, attr, obj in _public_callables(module):
+            name = "%s.%s" % (owner.__name__.rsplit(".", 1)[-1], attr)
+            if isinstance(obj, property):
+                monkeypatch.setattr(owner, attr, property(recording(name, obj.fget)))
+            elif isinstance(obj, (classmethod, staticmethod)):
+                monkeypatch.setattr(owner, attr, type(obj)(recording(name, obj.__func__)))
+            elif inspect.isfunction(obj) and owner is module:
+                wrapped = recording(name, obj)
+                for m in package:       # every binding, imports included
+                    for alias, value in list(vars(m).items()):
+                        if value is obj:
+                            monkeypatch.setattr(m, alias, wrapped)
+            elif inspect.isfunction(obj):
+                monkeypatch.setattr(owner, attr, recording(name, obj))
+    sweep = solver_module.AdmmSolver._sweep_chunk
+    monkeypatch.setattr(solver_module.AdmmSolver, "_sweep_chunk",
+                        recording("_sweep_chunk", sweep))
+
+    solver_module.run_admm(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=5))
+    pool.shutdown()
+    main = threading.get_ident()
+    assert {"solver.run_admm", "AdmmSolver.iterate", "OperatorSet.cr_face_gradient",
+            "FiberDiscretization.k_max"} <= set(threads)
+    assert threads.pop("_sweep_chunk") - {main}        # the workers did run
+    assert {name for name, ids in threads.items() if ids != {main}} == set()
 
 
 def test_run_leaves_returned_state_alone():
@@ -366,16 +474,25 @@ def test_run_leaves_returned_state_alone():
 
 
 def _poison_reconstruct(solver_cls, monkeypatch, at_iteration):
-    """Make one vertical sample NaN in the given iteration's reconstruction."""
-    reconstruct = solver_cls.reconstruct
+    """Make one vertical sample NaN in the given iteration's reconstruction.
 
-    def poisoned(self, state):
-        Rh, Rv = reconstruct(self, state)
-        if state.iteration + 1 == at_iteration:
+    The sweep reconstructs face chunk by face chunk; the chunk of face 0 gets
+    the NaN. ``global_step`` runs first in every iteration and tells which."""
+    global_step, reconstruct = solver_cls.global_step, solver_cls._reconstruct
+    current = []
+
+    def step(self, state):
+        current[:] = [state.iteration + 1]
+        return global_step(self, state)
+
+    def poisoned(self, coeffs, faces):
+        Rh, Rv = reconstruct(self, coeffs, faces)
+        if current == [at_iteration] and faces.start == 0:
             Rv[0, 0] = np.nan
         return Rh, Rv
 
-    monkeypatch.setattr(solver_cls, "reconstruct", poisoned)
+    monkeypatch.setattr(solver_cls, "global_step", step)
+    monkeypatch.setattr(solver_cls, "_reconstruct", poisoned)
 
 
 def test_non_finite_residual_stops(monkeypatch):
