@@ -1,8 +1,9 @@
 """Sparse discrete operators for a fixed mesh, degree, and frequency range.
 
-Element blocks are assembled once per (mesh, degree, radius) and reused
-across solver iterations. Vertex systems are assembled on request and
-not cached: the solver builds and factors each one once.
+Element blocks and the CSC pattern that every vertex matrix shares are
+built once per (mesh, degree, radius) and reused across solver iterations.
+A vertex system's values are summed into that pattern on request and not
+cached: the solver builds and factors each one once.
 Per-face quantities are kept as dense blocks (the mesh is unstructured but
 each block is tiny), and the vertex/edge systems are scipy sparse.
 
@@ -45,15 +46,20 @@ class FemBlocks:
 
     hat_gradient[f, :, j] is the constant gradient of the hat function of
     corner j; corner_mass[f] is the exact 3x3 triangle mass block
-    (area/6 diagonal, area/12 off-diagonal); ``gradient`` maps vertex
-    values to per-face gradients (see :func:`gradient_matrix`).
+    (area/6 diagonal, area/12 off-diagonal), corner_stiffness[f] the
+    Dirichlet block ``area * grad^T grad``; ``gradient`` maps vertex
+    values to per-face gradients (see :func:`gradient_matrix`). Element
+    entry ``(f, i, j)`` sits at ``slot[f, i, j]`` in the data of ``pattern``.
     """
 
     hat_gradient: np.ndarray      # (n_f, 2, 3)
     corner_mass: np.ndarray       # (n_f, 3, 3)
+    corner_stiffness: np.ndarray  # (n_f, 3, 3)
     face_area: np.ndarray         # (n_f,)
     corner_vertex: np.ndarray     # (n_f, 3)
     gradient: sp.csr_matrix       # (2 n_f, n_v)
+    pattern: sp.csc_matrix        # (n_v, n_v), data all ones
+    slot: np.ndarray              # (n_f, 3, 3)
 
     @property
     def corner_weight(self):
@@ -62,7 +68,7 @@ class FemBlocks:
 
 
 def assemble_linear_fem(mesh, atlas):
-    """Hat-function gradients and mass blocks on every face."""
+    """Hat-function gradients, mass and stiffness blocks, and the vertex pattern."""
     p = mesh.vertices[mesh.triangles]                      # (n_f, 3, 3)
     rel = p - p[:, :1]
     q = np.einsum("fij,fkj->fki", atlas.face_frame, rel)   # (n_f, 3, 2) planar coords
@@ -72,33 +78,31 @@ def assemble_linear_fem(mesh, atlas):
         e = q[:, (j + 2) % 3] - q[:, (j + 1) % 3]
         grad[:, 0, j] = -e[:, 1] / (2 * area)
         grad[:, 1, j] = e[:, 0] / (2 * area)
-    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mass = area[:, None, None] * mass
+    mass = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    tri, n_v = mesh.triangles, len(mesh.vertices)
+    # column-major key of entry (f, i, j): column tri[f, j], row tri[f, i]
+    key, slot = np.unique(np.tile(tri, 3) * n_v + np.repeat(tri, 3, axis=1),
+                          return_inverse=True)
+    indptr = np.searchsorted(key, n_v * np.arange(n_v + 1))
+    pattern = sp.csc_matrix((np.ones(len(key)), key % n_v, indptr), shape=(n_v, n_v))
     return FemBlocks(hat_gradient=grad, corner_mass=mass, face_area=area,
-                     corner_vertex=mesh.triangles,
-                     gradient=gradient_matrix(mesh.triangles, grad, len(mesh.vertices)))
+                     corner_stiffness=np.einsum("f,fdi,fdj->fij", area, grad, grad),
+                     corner_vertex=tri, gradient=gradient_matrix(tri, grad, n_v),
+                     pattern=pattern, slot=slot.reshape(-1, 3, 3))
 
 
 def _element_scatter(fem, elem, coeff):
-    """Assemble sum_T conj(coeff_i) elem[T,i,j] coeff_j into a sparse matrix."""
-    tri = fem.corner_vertex
-    n_v = tri.max() + 1
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append(np.conj(coeff[:, i]) * elem[:, i, j] * coeff[:, j])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n_v, n_v))
+    """Sum ``conj(coeff_i) elem[f, i, j] coeff_j`` into a copy of the vertex
+    pattern (so that an in-place change to one matrix reaches no other)."""
+    vals = (np.conj(coeff)[:, :, None] * elem * coeff[:, None, :]).ravel()
+    slot, p = fem.slot.ravel(), fem.pattern
+    data = np.bincount(slot, vals.real, p.nnz) + 1j * np.bincount(slot, vals.imag, p.nnz)
+    return sp.csc_matrix((data, p.indices, p.indptr), shape=p.shape, copy=True)
 
 
 def assemble_stiffness(fem, coeff):
     """Covariant Dirichlet form: area-weighted gradient products with transport."""
-    elem = np.einsum("f,fdi,fdj->fij", fem.face_area, fem.hat_gradient, fem.hat_gradient)
-    return _element_scatter(fem, elem, coeff)
+    return _element_scatter(fem, fem.corner_stiffness, coeff)
 
 
 def assemble_vertex_mass(fem, coeff):
@@ -113,10 +117,8 @@ def assemble_frequency_laplacian(fem, coeff_k, k, radius):
     Positive semidefinite at ``k = 0`` and positive definite otherwise.
     """
     check_fiber(radius)
-    L = assemble_stiffness(fem, coeff_k)
-    if k != 0:
-        L = L + (k * k / (radius * radius)) * assemble_vertex_mass(fem, coeff_k)
-    return L.tocsc()
+    elem = fem.corner_stiffness + (k * k / (radius * radius)) * fem.corner_mass
+    return _element_scatter(fem, elem, coeff_k)
 
 
 @dataclass
@@ -230,14 +232,3 @@ class OperatorSet:
     def cr_face_gradient(self, phi):
         """Per-face constant gradient of an interior-edge function (0 on boundary edges)."""
         return (self.cr.gradient @ phi).reshape(-1, 2)
-
-    def scatter_corners(self, corner_values):
-        """Adjoint of the covariant incidence at frequencies ``0..n_k-1`` at once.
-
-        ``corner_values[f, j, k]`` is the frequency-``k`` value at corner ``j``
-        of face ``f``; returns the conj-transported corner sums per vertex as
-        ``(n_v, n_k)``, one sparse product for all frequencies.
-        """
-        n_k = corner_values.shape[-1]
-        vals = np.conj(self.transport_pow[:, :, :n_k]) * corner_values
-        return self.corner_incidence @ vals.reshape(-1, n_k)

@@ -85,7 +85,8 @@ _POOL = ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="mins
 
 def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU of a symmetric (or Hermitian) positive definite matrix:
-    symmetric fill-reducing ordering unless ``permc_spec`` names another, diagonal pivots."""
+    symmetric fill-reducing ordering unless ``permc_spec`` names another, diagonal pivots.
+    Main thread only: a factor made on a worker thread is never freed (scipy 1.17)."""
     return splu(matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
 
@@ -305,11 +306,13 @@ class GlobalSystems:
     """Prefactored linear systems of the global step.
 
     The per-frequency systems are independent of the penalties and are
-    factored once. The frequency-zero saddle system couples the conforming
-    and edge-midpoint blocks only through boundary rows; it is solved by a
-    dense Schur complement over the boundary multiplier, with the
-    conforming block gauge-fixed at one boundary vertex (its zero frequency
-    is determined only up to a constant).
+    factored once, all in one fill-reducing ordering of the interior
+    vertices (every ``L_k`` has the vertex pattern), from blocks gathered
+    out of each ``L_k``'s data. The frequency-zero saddle system couples
+    the conforming and edge-midpoint blocks only through boundary rows; it
+    is solved by a dense Schur complement over the boundary multiplier,
+    with the conforming block gauge-fixed at one boundary vertex (its zero
+    frequency is determined only up to a constant).
 
     The edge-midpoint block ``K2 = mu*ell*Lc + nu*Lc M^-1 Lc`` (``Lc`` the
     edge-midpoint Laplacian, ``M`` its diagonal mass) is used in the exact
@@ -357,15 +360,26 @@ class GlobalSystems:
         # does not add to theirs; C2 Lc^-1 C2^T joins at build 1
         self._S0 = _gram(self._lu0, L0_ff, self._C1f)
 
+        # every L_k has the vertex pattern: one ordering of the interior serves
+        # all, and their blocks are gathered from L_k's data at 1-based positions
+        # `pos`, sorted once so that no factorization sorts the shared indices
+        order = spd_lu(L0[self.interior][:, self.interior]).perm_c
+        self.interior = self.interior[np.argsort(order)]
+        P = ops.fem.pattern
+        pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
+                            shape=P.shape)[self.interior].sorted_indices()
+        gather = [(B.data - 1, B.indices, B.indptr, B.shape)
+                  for B in (pos[:, self.interior], pos[:, self.b_vertices])]
         self._freq = {}
         for k in range(1, fd.k_max + 1):
-            L = ops.laplacian(k)
+            data = ops.laplacian(k).data
+            L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
             try:
-                lu = spd_lu(L[self.interior][:, self.interior])
+                lu = spd_lu(L_ii, permc_spec="NATURAL")
             except RuntimeError as exc:
                 raise RuntimeError("factorization failed at frequency %d: %s"
                                    % (k, exc)) from exc
-            self._freq[k] = (lu, L[self.interior][:, self.b_vertices].tocsc())
+            self._freq[k] = (lu, L_ib)
 
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
@@ -484,7 +498,8 @@ class AdmmSolver:
         self._k_max = K
         self._face_third = self.ops.fem.face_area / 3.0
         self._ik = 1j * np.arange(K + 1)
-        self._vertical_factor = -1j * np.arange(K + 1) / config.radius ** 2
+        # -ik / r^2, and the 1/4 that turns a face third into the mass weight area/12
+        self._vertical_factor = -1j * np.arange(K + 1) / (4 * config.radius ** 2)
         # the pre-solve sweep's output: conjugate-transported corner terms of
         # every frequency, and each face's zero-frequency horizontal coefficient
         self._rhs_corner = np.empty((n_f, 3, K + 1), dtype=complex)
@@ -520,11 +535,13 @@ class AdmmSolver:
         self._face_h0[faces] = face_h[:, :, 0].real
         Cv = _by_face(_forward(state.sigma_v[corners] + state.w_v[corners], K))
         Cv[:, :, 0] -= TAU_BAR_VERTICAL
-        out = self._rhs_corner[faces]                            # (n, 3, K+1)
-        np.matmul(fem.hat_gradient[faces].transpose(0, 2, 1), face_h, out=out)
-        mc = np.matmul(fem.corner_mass[faces], Cv)
-        mc *= self._vertical_factor
-        out += mc
+        # hat-gradient contraction, then the corner mass area/12 (I + 1 1^T)
+        grad, out = fem.hat_gradient[faces], self._rhs_corner[faces]     # out: (n, 3, K+1)
+        np.multiply(grad[:, 0, :, None], face_h[:, None, 0], out=out)
+        out += grad[:, 1, :, None] * face_h[:, None, 1]
+        Cv += Cv.sum(axis=1, keepdims=True)
+        Cv *= self._face_third[faces, None, None] * self._vertical_factor
+        out += Cv
         out *= np.conj(self.ops.transport_pow[faces])
 
     def _coefficients(self, state):
@@ -538,7 +555,10 @@ class AdmmSolver:
         f_t, turned = coeffs
         ops, n = self.ops, self.fd.n
         fc = ops.transport_pow[faces] * f_t[self.mesh.triangles[faces]]    # (n, 3, K+1)
-        CH = np.matmul(ops.fem.hat_gradient[faces], fc)                    # (n, 2, K+1)
+        grad = ops.fem.hat_gradient[faces]
+        CH = grad[:, :, 0, None] * fc[:, None, 0]                          # (n, 2, K+1)
+        CH += grad[:, :, 1, None] * fc[:, None, 1]
+        CH += grad[:, :, 2, None] * fc[:, None, 2]
         CV = fc * self._ik
         CH[:, :, 0] += turned[faces]
         CV[:, :, 0] += TAU_BAR_VERTICAL

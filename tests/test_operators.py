@@ -8,6 +8,7 @@ from minsec.operators import (OperatorSet, assemble_boundary_rows,
                               assemble_linear_fem, assemble_stiffness,
                               quarter_turn)
 from minsec.solver import AdmmSolver, SolverConfig
+from oracles import coo_frequency_laplacian, coo_stiffness, coo_vertex_mass, scatter_corners
 
 
 def _fem(mesh):
@@ -51,7 +52,7 @@ def test_incidence_row_sums():
     ops = OperatorSet.assemble(mesh, build_transport(mesh), degree=1, radius=1.0, k_max=1)
     counts = np.bincount(mesh.triangles.ravel(), minlength=len(mesh.vertices))
     ones = np.ones(mesh.triangles.shape + (1,))     # frequency 0 only
-    np.testing.assert_allclose(ops.scatter_corners(ones)[:, 0], counts)
+    np.testing.assert_allclose(scatter_corners(ops, ones)[:, 0], counts)
 
 
 def test_covariant_incidence_structure():
@@ -124,6 +125,30 @@ def test_hermitian_and_conjugation_all_meshes():
                 assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(Lk.data).max())
                 Lm = assemble_frequency_laplacian(fem, td ** k, -k, radius=0.7)
                 np.testing.assert_allclose(Lm.toarray(), np.conj(Lk.toarray()), atol=1e-13)
+
+
+@pytest.mark.parametrize("mesh", [meshgen.disk(4), meshgen.annulus(4), meshgen.spherical_cap(4),
+                                  meshgen.fan_disk(8)], ids=["disk", "annulus", "cap", "fan"])
+def test_pattern_assembly_matches_coo_oracle(mesh):
+    # values summed into the precomputed pattern against COO triplets that
+    # the CSC conversion sorts and sums: the same matrices up to rounding
+    K, radius = 5, 0.7
+    ops = OperatorSet.assemble(mesh, build_transport(mesh), degree=3, radius=radius, k_max=K)
+    fem, c1 = ops.fem, ops.transport_k(1)
+    pairs = [(ops.stiffness(1), coo_stiffness(fem, c1)), (ops.vertex_mass(1), coo_vertex_mass(fem, c1))]
+    pairs += [(ops.laplacian(k), coo_frequency_laplacian(fem, ops.transport_k(k), k, radius))
+              for k in (0, 1, K)]
+    for ours, oracle in pairs:
+        assert np.array_equal(ours.indptr, oracle.indptr)
+        assert np.array_equal(ours.indices, oracle.indices)
+        assert np.abs(ours.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
+        # every vertex matrix of the mesh has the one pattern
+        assert np.array_equal(ours.indptr, fem.pattern.indptr)
+        assert np.array_equal(ours.indices, fem.pattern.indices)
+    # each matrix owns its index arrays: changing one leaves the others alone
+    L = ops.laplacian(1)
+    L.indices[:] = 0
+    assert np.array_equal(ops.laplacian(K).indices, fem.pattern.indices)
 
 
 def test_radius_scaling_quarters_vertical_mass():

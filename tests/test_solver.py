@@ -17,7 +17,7 @@ from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
 from minsec.solver import (AdmmSolver, SolverConfig, _gram, adapt_penalty, init_state,
                            local_step_gamma, local_step_sigma, metric_sq, run_admm, spd_lu)
-from oracles import fejer_delta
+from oracles import fejer_delta, scatter_corners
 
 
 def _solver(mesh, **kw):
@@ -118,7 +118,7 @@ def test_frequency_solve_contract_and_conjugation():
         mc = np.einsum("fij,fj->fi", ops.fem.corner_mass, Cv[:, k].reshape(n_f, 3))
         values = np.zeros((n_f, 3, k + 1), dtype=complex)
         values[:, :, k] = gc - (1j * k / solver.config.radius ** 2) * mc
-        rhs = ops.scatter_corners(values)[:, k]
+        rhs = scatter_corners(ops, values)[:, k]
         resid = (ops.laplacian(k) @ state.f[k] - rhs)[interior]
         assert np.linalg.norm(resid) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
@@ -276,6 +276,36 @@ def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
     systems.refactor(2.0, 1.0)
     assert systems.builds == 2 and len(systems._schurs) == 2
     assert widths and max(widths) <= len(mesh.boundary_loops)
+
+
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.spherical_cap(6),
+                                  meshgen.fan_disk(12)],
+                         ids=["disk", "annulus", "cap", "fan"])
+def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
+    # every L_k is factored once, in the one interior ordering, from blocks
+    # gathered out of its data; none fills in more than under its own MMD
+    factored = []
+
+    def recording(matrix, permc_spec="MMD_AT_PLUS_A"):
+        factored.append((matrix, permc_spec))
+        return spd_lu(matrix, permc_spec)
+
+    monkeypatch.setattr(solver_module, "spd_lu", recording)
+    solver = _solver(mesh, degree=4)
+    systems, ops, K = solver.systems, solver.ops, solver.fd.k_max
+    rows, cols = systems.interior, systems.b_vertices
+    assert np.array_equal(np.sort(rows), np.nonzero(~mesh.is_boundary_vertex)[0])
+    freq = [(matrix, spec) for matrix, spec in factored if np.iscomplexobj(matrix.data)]
+    assert len(freq) == K and {spec for _, spec in freq} == {"NATURAL"}
+    for k, (L_ii, _) in enumerate(freq, start=1):
+        L = ops.laplacian(k)
+        lu, L_ib = systems._freq[k]
+        for block, want in ((L_ii, L[rows][:, rows]), (L_ib, L[rows][:, cols])):
+            assert block.shape == want.shape and block.nnz == want.nnz
+            assert np.array_equal(block.toarray(), want.toarray())
+        natural = np.sort(rows)
+        mmd = spd_lu(L[natural][:, natural])
+        assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
 def _reference_iterate(solver, state):
@@ -451,6 +481,31 @@ def test_workers_call_no_public_function(monkeypatch):
             "FiberDiscretization.k_max"} <= set(threads)
     assert threads.pop("_sweep_chunk") - {main}        # the workers did run
     assert {name for name, ids in threads.items() if ids != {main}} == set()
+
+
+def test_sparse_factors_made_on_main_thread_only(monkeypatch):
+    # a SuperLU factor made on a worker thread and freed on the main thread
+    # is never freed (scipy 1.17): setup, saddle builds and a multi-chunk
+    # solve make every factor on the main thread
+    mesh, fiber_n, chunk_faces = CHUNKED[0]
+    monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
+    monkeypatch.setattr(solver_module, "_POOL", pool)
+    on_main = []
+    real_splu = solver_module.splu
+
+    def recording(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", recording)
+    solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=12))
+    at_setup = len(on_main)
+    report = solver.run().report
+    pool.shutdown()
+    assert len(solver._chunks) >= 6 and report.saddle_builds >= 2
+    assert at_setup > solver.fd.k_max and len(on_main) > at_setup
+    assert all(on_main)
 
 
 def test_run_leaves_returned_state_alone():
