@@ -263,6 +263,7 @@ def run(config):
              "iterations %d" % rep.iterations,
              "converged %d" % int(rep.converged),
              "saddle_builds %d" % rep.saddle_builds,
+             "sparse_factorizations %d" % rep.factorizations,
              "graph_area %.17g" % area,
              "undefined_faces %d" % undefined,
              "kkt_residual %.6g" % rep.kkt_residual,

@@ -7,11 +7,11 @@ Corner samples and the one-sided vertical coefficients meet only through
 :func:`bundle.fourier_forward` and :func:`bundle.fourier_inverse`. The
 per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built, the edge-midpoint Laplacian at the
-first saddle build, all by :func:`spd_lu`. A penalty change refactors
-one block with Laplacian sparsity, and the dense boundary Schur
-complement once per penalty ratio, from the trailing blocks of transient
-factors (:func:`_gram`). Only sparse factors and dense blocks with one row
-per boundary edge are stored; saddle solves back-substitute.
+first saddle build, all by :func:`spd_lu`. A penalty change makes one
+sparse factor, with Laplacian sparsity, and a new penalty ratio reads the
+dense boundary Schur complement off its trailing block (:class:`_Factor`).
+Only sparse factors and dense blocks with one row per boundary edge are
+stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner incidence and transport powers
 of :mod:`operators`; the solver builds none of its own.
@@ -84,34 +84,40 @@ _POOL = ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="mins
 
 
 def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
-    """Sparse LU of a symmetric (or Hermitian) positive definite matrix:
-    symmetric fill-reducing ordering unless ``permc_spec`` names another, diagonal pivots.
-    Main thread only: a factor made on a worker thread is never freed (scipy 1.17)."""
+    """Sparse LU of a symmetric (or Hermitian) positive definite matrix, diagonal pivots,
+    symmetric fill-reducing ordering unless ``permc_spec`` names another (:class:`_Factor`:
+    ``NATURAL``). Main thread only: a worker thread's factor is never freed (scipy 1.17)."""
     return splu(matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
 
 
-def _gram(lu, K, C):
-    """Dense ``C K^-1 C^T`` for SPD ``K`` and CSC ``C``, with no column solves.
+class _Factor:
+    """:func:`spd_lu` of SPD ``K`` in the symmetric ``order``; :meth:`solve` works
+    in ``K``'s numbering. Given CSC ``C``, the ``m`` columns it touches (the band)
+    go last, and :meth:`gram` is the dense ``C K^-1 C^T`` without column solves:
+    with ``U_tt`` the trailing ``m x m`` block of ``U`` and ``D`` the diagonal,
+    ``K^-1`` on the band is ``(U_tt^T D^-1 U_tt)^-1``, so the Gram is ``Z^T D Z``,
+    ``Z = U_tt^-T C_band^T``."""
 
-    ``K`` is factored again with the ``m`` columns ``C`` touches (the band)
-    last and the others in ``lu``'s order. With ``U_tt`` the trailing ``m x m``
-    block of its ``U`` and ``D`` the diagonal, ``K^-1`` on the band is
-    ``(U_tt^T D^-1 U_tt)^-1``, so the Gram is ``Z^T D Z``, ``Z = U_tt^-T C_band^T``.
-    """
-    band = np.diff(C.indptr) > 0
-    order = np.argsort(lu.perm_c)
-    order = np.concatenate([order[~band[order]], order[band[order]]])
-    lead = K.shape[0] - band.sum()
-    trail = spd_lu(K[order][:, order], permc_spec="NATURAL")
-    pos = trail.perm_c[lead:] - lead
-    if pos.min() < 0 or not np.array_equal(trail.perm_r[lead:] - lead, pos):
-        raise RuntimeError("boundary band left the trailing block of its factor")
-    U = trail.U.tocsc()[lead:, lead:].toarray()
-    X = np.empty((len(pos), C.shape[0]))
-    X[pos] = C[:, order[lead:]].T.toarray()
-    Z = sla.solve_triangular(U, X, trans="T", overwrite_b=True)
-    return (Z.T * np.diag(U)) @ Z
+    def __init__(self, K, order, C=None):
+        if C is not None:       # the band last, the rest in order
+            order = order[np.argsort(np.diff(C.indptr)[order] > 0, kind="stable")]
+        self.order, self.rank, self.C = order, np.argsort(order), C
+        self.lu = spd_lu(K[order][:, order], permc_spec="NATURAL")
+
+    def solve(self, r):
+        return self.lu.solve(r[self.order])[self.rank]
+
+    def gram(self):
+        lead = self.lu.shape[0] - np.count_nonzero(np.diff(self.C.indptr))
+        pos = self.lu.perm_c[lead:] - lead
+        if pos.min() < 0 or not np.array_equal(self.lu.perm_r[lead:] - lead, pos):
+            raise RuntimeError("boundary band left the trailing block of its factor")
+        U = self.lu.U.tocsc()[lead:, lead:].toarray()
+        X = np.empty((len(pos), self.C.shape[0]))
+        X[pos] = self.C[:, self.order[lead:]].T.toarray()
+        Z = sla.solve_triangular(U, X, trans="T", overwrite_b=True)
+        return (Z.T * np.diag(U)) @ Z
 
 
 @dataclass
@@ -183,6 +189,7 @@ class ConvergenceReport:
     kkt_residual: float = np.nan
     timings: dict = field(default_factory=dict)
     saddle_builds: int = 0
+    factorizations: int = 0                 # sparse, made by the saddle builds
     warning: str = ""
 
 
@@ -326,11 +333,16 @@ class GlobalSystems:
     A gradient circulates to zero around a closed loop, so that difference
     cancels along the unit loop indicators ``Q`` in proportion to ``t``;
     there the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it,
-    solving one column per loop. Each Gram ``C K^-1 C^T`` (``K`` is ``L0_ff``
-    at setup, ``Lc`` at the first build, ``A`` at each new ``t``) comes from
-    :func:`_gram`. ``S0``, ``Q``, the sparse factors and one LU per ``t`` are
-    all that is stored; :meth:`solve_zero` back-substitutes through them.
-    ``builds`` and ``build_seconds`` count and time the builds.
+    solving one column per loop. Each Gram ``C K^-1 C^T`` is read off a
+    band-last :class:`_Factor` of ``K``: transient ones of ``L0_ff`` at setup
+    (held in its own MMD order, which solves faster) and of ``Lc`` at the first
+    build, which also holds ``Lc`` in the edge order below, and ``A``'s (held)
+    at every build, its one sparse factor from then on. One MMD ordering of the
+    interior vertices orders every ``L_k``; it ranks the vertices, the boundary
+    last, for ``L0_ff``'s Gram, and the interior edges by (lower, higher)
+    endpoint rank for ``Lc`` and ``A``. ``S0``, ``Q``, the sparse factors and
+    one LU per ``t`` are all that is stored. ``builds``, ``factorizations``
+    and ``build_seconds`` count the builds and their sparse factors and time them.
     """
 
     def __init__(self, ops, fd, boundary_data):
@@ -347,24 +359,26 @@ class GlobalSystems:
         self.pin = int(self.b_vertices.min())
         self.free0 = np.delete(np.arange(n_v), self.pin)
 
+        # every L_k has the vertex pattern: one ordering of the interior serves all
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        L0_ff = L0[self.free0][:, self.free0]
-        self._lu0 = spd_lu(L0_ff)
+        order = spd_lu(L0[self.interior][:, self.interior]).perm_c
+        self.interior = self.interior[np.argsort(order)]
+        rank = np.argsort(np.concatenate([self.interior, self.b_vertices]))
+        ends = np.sort(rank[mesh.edges[mesh.interior_edges]], axis=1)
+        self._edge_order = np.lexsort(ends.T[::-1])         # by lower, then higher rank
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
         self._C1f = self._C1[:, self.free0]
-        # before the frequency factors exist, so _gram's transient factor
-        # does not add to theirs; C2 Lc^-1 C2^T joins at build 1
-        self._S0 = _gram(self._lu0, L0_ff, self._C1f)
+        # before the frequency factors, so as not to add to their peak; Lc's part joins at build 1
+        L0_ff = L0[self.free0][:, self.free0]
+        self._lu0 = spd_lu(L0_ff)
+        self._S0 = _Factor(L0_ff, np.argsort(rank[self.free0]), self._C1f).gram()
 
-        # every L_k has the vertex pattern: one ordering of the interior serves
-        # all, and their blocks are gathered from L_k's data at 1-based positions
-        # `pos`, sorted once so that no factorization sorts the shared indices
-        order = spd_lu(L0[self.interior][:, self.interior]).perm_c
-        self.interior = self.interior[np.argsort(order)]
+        # L_k blocks are gathered from its data at 1-based positions `pos`,
+        # sorted once so that no factorization sorts the shared indices
         P = ops.fem.pattern
         pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
                             shape=P.shape)[self.interior].sorted_indices()
@@ -386,9 +400,8 @@ class GlobalSystems:
                                    for loop in mesh.boundary_loops])
         self._lu_lc = None
         self._schurs = {}                               # t -> LU of mu*ell*S
-        self._mu = None
-        self._nu = None
-        self.builds = 0
+        self._mu = self._nu = None
+        self.builds = self.factorizations = 0
         self.build_seconds = 0.0
 
     def refactor(self, mu, nu):
@@ -399,15 +412,15 @@ class GlobalSystems:
         mu_ell = mu * self.fd.length
         cr, C2, Q = self.ops.cr, self._C2, self._Q
         if self._lu_lc is None:
-            self._lu_lc = spd_lu(cr.laplacian)
-            self._S0 += _gram(self._lu_lc, cr.laplacian, C2)
-        A = cr.shifted_laplacian(mu_ell, nu)
+            self._lu_lc = _Factor(cr.laplacian, self._edge_order)
+            self._S0 += _Factor(cr.laplacian, self._edge_order, C2).gram()
+            self.factorizations += 2
         t = mu_ell / nu
-        self._lu_a = None       # not held beside _gram's factor; A takes Lc's order
-        G = None if t in self._schurs else _gram(self._lu_lc, A, C2)
-        self._lu_a = spd_lu(A)
-        if G is not None:
-            S = self._S0 - nu * G
+        self._lu_a = None       # released before its successor is made
+        self._lu_a = _Factor(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2)
+        self.factorizations += 1
+        if t not in self._schurs:
+            S = self._S0 - nu * self._lu_a.gram()
             # the difference cancels along the loops; there SQ, in product form, replaces it
             SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
             S -= Q @ (Q.T @ S)
@@ -691,7 +704,7 @@ class AdmmSolver:
         history = []
         objective = []
         self._phase_times = dict.fromkeys(self._phase_times, 0.0)
-        builds0, build_s0 = self.systems.builds, self.systems.build_seconds
+        sys0 = self.systems.builds, self.systems.factorizations, self.systems.build_seconds
         t_start = time.perf_counter()
         converged = False
         for _ in range(cfg.max_iters):
@@ -705,8 +718,9 @@ class AdmmSolver:
                 break
         timings = dict(self._phase_times)
         timings["total"] = time.perf_counter() - t_start
-        timings["refactor"] = self.systems.build_seconds - build_s0
-        report.saddle_builds = self.systems.builds - builds0
+        timings["refactor"] = self.systems.build_seconds - sys0[2]
+        report.saddle_builds = self.systems.builds - sys0[0]
+        report.factorizations = self.systems.factorizations - sys0[1]
         report.converged = converged
         report.iterations = state.iteration
         report.residuals = history[-1]
