@@ -1,5 +1,6 @@
-"""Fiber sampling, the solver's vertical Fourier transform (numpy's real FFT
-with the Nyquist bin dropped), and circle-bundle boundary data."""
+"""Fiber sampling, the package's one vertical Fourier transform (:func:`_forward`
+and :func:`_inverse`: numpy's real FFT with the Nyquist bin dropped, unchecked),
+and circle-bundle boundary data."""
 
 from dataclasses import dataclass
 
@@ -56,41 +57,24 @@ class FiberDiscretization:
         return 2.0 * np.pi * self.radius
 
 
-def fourier_forward(samples, k_max):
+def _forward(x, k_max):
     """Coefficients ``c_k = (1/N) sum_m x_m e^{-ik theta_m}`` for ``k = 0..k_max``.
 
-    ``samples`` holds real values on the uniform fiber grid along the last
-    axis; their real FFT, cut to ``k_max + 1`` complex coefficients (the
-    Nyquist bin is dropped), replaces that axis. Real samples have
-    ``c_{-k} = conj(c_k)``: these one-sided coefficients store sections.
+    ``x`` holds real values on the uniform fiber grid along the last axis,
+    more than ``2 k_max`` of them; their real FFT, cut to ``k_max + 1``
+    complex coefficients (the Nyquist bin is dropped), replaces that axis.
+    Real samples have ``c_{-k} = conj(c_k)``: these one-sided coefficients
+    store sections.
     """
-    x = np.asarray(samples)
-    n = x.shape[-1]
-    if n <= 2 * k_max:
-        raise ValueError("need more than 2*k_max samples, got %d for k_max=%d"
-                         % (n, k_max))
-    return _forward(x, k_max)
-
-
-def _forward(x, k_max):
-    """:func:`fourier_forward` of a sample array, unchecked."""
     return np.fft.rfft(x, norm="forward")[..., :k_max + 1]
 
 
-def fourier_inverse(coeffs, n):
+def _inverse(c, n):
     """Real samples ``Re(c_0 + 2 sum_{k>0} c_k e^{ik theta_m})`` on the ``n``-point grid.
 
-    Inverts :func:`fourier_forward` on real signals band-limited to ``k_max``;
+    Inverts :func:`_forward` on real signals band-limited to ``k_max``;
     ``irfft`` zero-pads through the unused Nyquist bin, so ``k < n/2`` only.
     """
-    c = np.asarray(coeffs)
-    if c.shape[-1] > n // 2:
-        raise ValueError("need at most n/2 coefficients, got %d for n=%d" % (c.shape[-1], n))
-    return _inverse(c, n)
-
-
-def _inverse(c, n):
-    """:func:`fourier_inverse` of a coefficient array, unchecked."""
     return np.fft.irfft(c, n, norm="forward")
 
 

@@ -97,19 +97,19 @@ def validate_config(path):
 
 
 def _records(path):
-    """``(path:line, fields)`` for each line that is neither blank nor a comment."""
+    """``(path:line, fields)`` for each line with fields left once a ``#`` comment is cut."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if parts and not parts[0].startswith("#"):
+            parts = line.split("#", 1)[0].split()
+            if parts:
                 yield "%s:%d" % (path, lineno), parts
 
 
 def _parse(where, parts, kinds):
-    """Convert the leading fields of one line, naming the line on failure."""
+    """Convert the fields of one line, naming the line on failure."""
     try:
-        if len(parts) < len(kinds):
-            raise ValueError("expected %d fields" % len(kinds))
+        if len(parts) != len(kinds):
+            raise ValueError("expected %d fields, got %d" % (len(kinds), len(parts)))
         values = [kind(p) for kind, p in zip(kinds, parts)]
     except ValueError as exc:
         raise ConfigError("%s: bad line %r: %s" % (where, " ".join(parts), exc)) from None

@@ -188,10 +188,8 @@ class OperatorSet:
     """All assembled operators for a fixed (mesh, degree, radius, k_max)."""
 
     mesh: object
-    atlas: object
     degree: int
     radius: float
-    k_max: int
     fem: FemBlocks = None
     cr: CrBlocks = None
     boundary: sp.csr_matrix = None        # (n_be, 2 n_f) circulation rows
@@ -201,7 +199,7 @@ class OperatorSet:
 
     @classmethod
     def assemble(cls, mesh, atlas, degree, radius, k_max):
-        ops = cls(mesh=mesh, atlas=atlas, degree=degree, radius=radius, k_max=k_max)
+        ops = cls(mesh=mesh, degree=degree, radius=radius)
         ops.fem = assemble_linear_fem(mesh, atlas)
         ops.cr = assemble_crouzeix_raviart(mesh, ops.fem)
         ops.boundary = assemble_boundary_rows(mesh, atlas)

@@ -4,12 +4,12 @@ One iteration: per-frequency linear solves plus a frequency-zero saddle
 system (global step), pointwise shrinkage at corner samples and interior
 edges (local step), dual ascent, residuals, and adaptive penalties.
 Corner samples and the one-sided vertical coefficients meet only through
-:func:`bundle.fourier_forward` and :func:`bundle.fourier_inverse`. The
-per-frequency systems and the conforming frequency-zero block are
+the transform pair :func:`bundle._forward` and :func:`bundle._inverse`.
+The per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built, the edge-midpoint Laplacian at the
-first saddle build, all by :func:`spd_lu`. A penalty change makes one
-sparse factor, with Laplacian sparsity, and a new penalty ratio reads the
-dense boundary Schur complement off its trailing block (:class:`_Factor`).
+first saddle build, all by :func:`spd_lu`. Every penalty change makes one
+sparse factor, with Laplacian sparsity, reads the dense boundary Schur
+complement off its trailing block (:class:`_Factor`) and factors that.
 Only sparse factors and dense blocks with one row per boundary edge are
 stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
@@ -182,7 +182,6 @@ class BundleState:
 class ConvergenceReport:
     converged: bool = False
     iterations: int = 0
-    eps: float = 0.0
     residuals: np.ndarray = None            # final (4,) values
     residual_history: np.ndarray = None     # (iterations, 4)
     objective_history: np.ndarray = None
@@ -221,15 +220,11 @@ def init_state(ops, fd, kappa_bar):
     )
 
 
-def metric_sq(h, v, radius, per_corner=False):
+def _metric_sq(h, v, radius, per_corner=False):
     """Squared bundle metric ``|h|^2 + v^2 / r^2``; axis 1 of ``h`` holds the 2-vector.
 
     With ``per_corner`` it is summed over each corner's fiber (the last axis).
     """
-    return _metric_sq(h, v, radius, per_corner)
-
-
-def _metric_sq(h, v, radius, per_corner=False):
     if per_corner:
         h_sub, v_sub = "cdm,cdm->c", "cm,cm->c"
     else:
@@ -261,22 +256,23 @@ def _sample_mass(measure, density):
 
 def sample_density(state, radius):
     """Bundle-metric norm ``sqrt(|sigma_h|^2 + sigma_v^2 / r^2)`` of each sample."""
-    return np.sqrt(metric_sq(state.sigma_h, state.sigma_v, radius))
+    return np.sqrt(_metric_sq(state.sigma_h, state.sigma_v, radius))
 
 
-def local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
+def local_step_sigma(hat_h, hat_v, mu, radius):
     """Pointwise prox of the bundle-metric norm with vertical nonnegativity.
 
     Clamps the vertical part to be nonnegative, then shortens the sample by
     ``1/mu`` in the metric ``|h|^2 + v^2 / r^2``, zeroing it inside the
-    deadzone. Axis 1 of ``hat_h`` holds the 2-vector. ``out`` is an optional
-    pair of buffers for the result; ``density``, if given, receives the
-    result's metric norm ``max(|hat| - 1/mu, 0)`` per sample.
+    deadzone. Axis 1 of ``hat_h`` holds the 2-vector.
     """
-    return _local_step_sigma(hat_h, hat_v, mu, radius, out, density)
+    return _local_step_sigma(hat_h, hat_v, mu, radius)
 
 
 def _local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
+    """:func:`local_step_sigma` into the optional pair of buffers ``out``;
+    ``density``, if given, receives the result's metric norm
+    ``max(|hat| - 1/mu, 0)`` per sample."""
     out_h, out_v = (None, None) if out is None else out
     v = np.maximum(hat_v, 0.0, out=out_v)
     norm = _metric_sq(hat_h, v, radius)
@@ -340,8 +336,8 @@ class GlobalSystems:
     at every build, its one sparse factor from then on. One MMD ordering of the
     interior vertices orders every ``L_k``; it ranks the vertices, the boundary
     last, for ``L0_ff``'s Gram, and the interior edges by (lower, higher)
-    endpoint rank for ``Lc`` and ``A``. ``S0``, ``Q``, the sparse factors and
-    one LU per ``t`` are all that is stored. ``builds``, ``factorizations``
+    endpoint rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors
+    and the Schur LU of the last build are stored. ``builds``, ``factorizations``
     and ``build_seconds`` count the builds and their sparse factors and time them.
     """
 
@@ -398,8 +394,7 @@ class GlobalSystems:
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
-        self._lu_lc = None
-        self._schurs = {}                               # t -> LU of mu*ell*S
+        self._lu_lc = self._lu_a = self._schur = None   # _schur: LU of the build's mu*ell*S
         self._mu = self._nu = None
         self.builds = self.factorizations = 0
         self.build_seconds = 0.0
@@ -415,22 +410,20 @@ class GlobalSystems:
             self._lu_lc = _Factor(cr.laplacian, self._edge_order)
             self._S0 += _Factor(cr.laplacian, self._edge_order, C2).gram()
             self.factorizations += 2
-        t = mu_ell / nu
-        self._lu_a = None       # released before its successor is made
+        self._lu_a = self._schur = None     # released before their successors are made
         self._lu_a = _Factor(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2)
         self.factorizations += 1
-        if t not in self._schurs:
-            S = self._S0 - nu * self._lu_a.gram()
-            # the difference cancels along the loops; there SQ, in product form, replaces it
-            SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
-            S -= Q @ (Q.T @ S)
-            S -= (S @ Q) @ Q.T
-            S += SQ @ Q.T + Q @ (SQ.T - (Q.T @ SQ) @ Q.T)
-            lu, piv = sla.lu_factor(S, overwrite_a=True)
-            diag = np.abs(np.diag(lu))
-            if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-                raise RuntimeError("singular boundary coupling: incompatible boundary data")
-            self._schurs[t] = (lu, piv)
+        S = self._S0 - nu * self._lu_a.gram()
+        # the difference cancels along the loops; there SQ, in product form, replaces it
+        SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
+        S -= Q @ (Q.T @ S)
+        S -= (S @ Q) @ Q.T
+        S += SQ @ Q.T + Q @ (SQ.T - (Q.T @ SQ) @ Q.T)
+        lu, piv = sla.lu_factor(S, overwrite_a=True)
+        diag = np.abs(np.diag(lu))
+        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            raise RuntimeError("singular boundary coupling: incompatible boundary data")
+        self._schur = lu, piv
         self._mu, self._nu = mu, nu
         self.builds += 1
         self.build_seconds += time.perf_counter() - t0
@@ -462,8 +455,7 @@ class GlobalSystems:
             return self._lu0.solve(r) / mu_ell
 
         r1 = rhs1[self.free0]
-        schur = self._schurs[mu_ell / self._nu]
-        beta = mu_ell * sla.lu_solve(schur, C1f @ solve1(r1) + C2 @ self._solve_k2(rhs2) - g0)
+        beta = mu_ell * sla.lu_solve(self._schur, C1f @ solve1(r1) + C2 @ self._solve_k2(rhs2) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
         f0[self.free0] = solve1(r1 - C1f.T @ beta)
         phi = self._solve_k2(rhs2 - C2.T @ beta)
@@ -700,7 +692,7 @@ class AdmmSolver:
     def run(self):
         cfg = self.config
         state = init_state(self.ops, self.fd, self.kappa_bar)
-        report = ConvergenceReport(eps=cfg.eps)
+        report = ConvergenceReport()
         history = []
         objective = []
         self._phase_times = dict.fromkeys(self._phase_times, 0.0)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import meshgen
-from minsec.bundle import (FiberDiscretization, TAU_BAR_VERTICAL, fourier_forward,
-                           fourier_inverse, make_boundary_data, make_kappa_bar)
+from minsec.bundle import (FiberDiscretization, TAU_BAR_VERTICAL, _forward, _inverse,
+                           make_boundary_data, make_kappa_bar)
 from minsec.mesh import build_transport
 from oracles import fejer_delta
 
@@ -22,7 +22,7 @@ def test_fiber_discretization_validation():
 
 
 def test_fourier_constant():
-    c = fourier_forward(np.full(16, 3.0), 7)
+    c = _forward(np.full(16, 3.0), 7)
     assert c.shape == (8,)
     assert c[0] == pytest.approx(3.0)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-14)
@@ -30,7 +30,7 @@ def test_fourier_constant():
 
 def test_fourier_cosine():
     fd = FiberDiscretization(16)
-    c = fourier_forward(np.cos(fd.theta), fd.k_max)
+    c = _forward(np.cos(fd.theta), fd.k_max)
     assert c[1] == pytest.approx(0.5)
     mask = np.ones(fd.k_max + 1, dtype=bool)
     mask[1] = False
@@ -47,9 +47,9 @@ def test_fourier_roundtrip_is_bandlimit_projection():
     for k in range(-K, K + 1):
         ck = np.sum(x * np.exp(-1j * k * theta)) / 64
         proj += ck * np.exp(1j * k * theta)
-    once = fourier_inverse(fourier_forward(x, K), 64)
+    once = _inverse(_forward(x, K), 64)
     np.testing.assert_allclose(once, proj, atol=1e-12)
-    twice = fourier_inverse(fourier_forward(once, K), 64)
+    twice = _inverse(_forward(once, K), 64)
     np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
@@ -69,21 +69,16 @@ def test_fourier_batched_matches_direct_sum(n, short):
         phase = np.exp(2j * np.pi * (k * m % n) / n)
         fwd += x[..., m:m + 1] * np.conj(phase) / n
         inv[..., m] += 2 * np.sum(c[..., 1:] * phase[1:], axis=-1).real
-    np.testing.assert_allclose(fourier_forward(x, K), fwd, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(fourier_inverse(c, n), inv, rtol=0, atol=1e-13)
-    # more than 2*k_max samples in, at most n/2 coefficients (no Nyquist bin) back
-    with pytest.raises(ValueError, match="2\\*k_max"):
-        fourier_forward(x[..., :2 * K], K)
-    with pytest.raises(ValueError, match="n/2"):
-        fourier_inverse(np.zeros((3, 2, n // 2 + 1), dtype=complex), n)
+    np.testing.assert_allclose(_forward(x, K), fwd, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_inverse(c, n), inv, rtol=0, atol=1e-13)
 
 
 def test_fourier_reality_conjugate_symmetry():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(32)
     # x_{-m} has the coefficients c_{-k} = conj(c_k) of a real signal
-    mirrored = fourier_forward(np.roll(x[::-1], 1), 15)
-    np.testing.assert_allclose(mirrored, np.conj(fourier_forward(x, 15)), atol=1e-13)
+    mirrored = _forward(np.roll(x[::-1], 1), 15)
+    np.testing.assert_allclose(mirrored, np.conj(_forward(x, 15)), atol=1e-13)
 
 
 def test_fejer_peak_value():
@@ -172,7 +167,7 @@ def test_boundary_vertical_reconstruction_is_fejer():
         # the one-sided form relies on conjugate negative frequencies
         np.testing.assert_allclose(-1j * k * bd.coefficient(-k)[i], np.conj(coeffs[k]),
                                    atol=1e-15)
-    samples = fourier_inverse(coeffs, fd.n)
+    samples = _inverse(coeffs, fd.n)
     expected = fejer_delta(bd.gamma0[i], K, fd.theta) / (2 * np.pi)
     np.testing.assert_allclose(samples, expected, atol=1e-12)
     assert samples.min() >= -1e-12

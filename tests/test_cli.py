@@ -286,7 +286,8 @@ def test_boundary_file_bad_line_names_line(disk_obj, tmp_path, capsys):
     bpath = tmp_path / "angles.txt"
     for text, line in [("# angles\n%d 0.0\n%d north\n" % (b, b), 3),
                        ("%d 0.0\n%d 0.0\n" % (b, inner), 2),
-                       ("%d 0.0\n99999 0.0\n" % b, 2)]:
+                       ("%d 0.0\n99999 0.0\n" % b, 2),
+                       ("%d 0.0  # inline comment\n%d 0.0 7.5\n" % (b, b), 2)]:
         bpath.write_text(text)
         assert _minsec(disk_obj, tmp_path / "o", "--boundary", str(bpath)) == 1
         assert "%s:%d:" % (bpath, line) in capsys.readouterr().err
@@ -301,14 +302,18 @@ def test_unreferenced_vertex_exit_code(disk_obj, tmp_path, capsys):
 
 
 def test_mask_pair_naming_no_edge(disk_obj, tmp_path, capsys):
+    mesh = load_mesh(disk_obj)
+    a, b = mesh.edges[mesh.interior_edges[0]]
     mpath = tmp_path / "mask.txt"
-    mpath.write_text("0 99999\n")
-    assert _minsec(disk_obj, tmp_path / "o", "--mask", str(mpath)) == 1
-    assert "%s:1:" % mpath in capsys.readouterr().err
+    for text, line in [("0 99999\n", 1), ("%d %d  # an edge\n%d %d 5\n" % (a, b, a, b), 2)]:
+        mpath.write_text(text)
+        assert _minsec(disk_obj, tmp_path / "o", "--mask", str(mpath)) == 1
+        assert "error: %s:%d:" % (mpath, line) in capsys.readouterr().err
 
 
 def test_lambda_field_vertex_out_of_range(disk_obj, tmp_path, capsys):
     lpath = tmp_path / "lam.txt"
-    lpath.write_text("0 0.5\n99999 0.5\n")
-    assert _minsec(disk_obj, tmp_path / "o", "--lambda-field", str(lpath)) == 1
-    assert "%s:2:" % lpath in capsys.readouterr().err
+    for text in ["0 0.5\n99999 0.5\n", "0 0.5 # inline comment\n0 0.5 -3\n"]:
+        lpath.write_text(text)
+        assert _minsec(disk_obj, tmp_path / "o", "--lambda-field", str(lpath)) == 1
+        assert "error: %s:2:" % lpath in capsys.readouterr().err

@@ -15,8 +15,9 @@ from minsec.cli import main
 from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
-from minsec.solver import (AdmmSolver, SolverConfig, _Factor, adapt_penalty, init_state,
-                           local_step_gamma, local_step_sigma, metric_sq, run_admm, spd_lu)
+from minsec.solver import (AdmmSolver, SolverConfig, _Factor, _local_step_sigma, _metric_sq,
+                           adapt_penalty, init_state, local_step_gamma, local_step_sigma,
+                           run_admm, spd_lu)
 from oracles import fejer_delta, scatter_corners
 
 
@@ -53,6 +54,12 @@ def test_local_step_sigma_formula():
     # the radius enters the metric: vertical covector norm is v/r
     out_h, out_v = local_step_sigma(np.array([[0.0, 0.0]]), np.array([1.0]), 1.0, 0.25)
     np.testing.assert_allclose(out_v, 0.75)               # |.|_g = 4, scale 3/4
+    # the density the sweep reads is the result's metric norm, 0 in the deadzone
+    h, v = np.array([[0.1, 0.0], [3.0, 1.0]]), np.array([0.1, 2.0])
+    d = np.empty(2)
+    out_h, out_v = _local_step_sigma(h, v, 2.0, 0.5, density=d)
+    assert d[0] == 0.0 and d[1] > 0.0
+    np.testing.assert_allclose(d, np.sqrt(_metric_sq(out_h, out_v, 0.5)), rtol=1e-14)
 
 
 def test_local_step_gamma_formula():
@@ -187,9 +194,6 @@ def test_saddle_refactor_penalty_pairs(mesh):
             f0, phi, beta = systems.solve_zero(rhs1, rhs2, g0)
             assert systems.kkt_residual(f0, phi, beta, rhs1, rhs2, g0) <= 1e-9
     assert systems.builds == 7
-    # the Schur complement depends only on mu/nu: (2, 2) and (2^-15, 2^5)
-    # reuse the LUs of (1, 1) and (2^-20, 1)
-    assert len(systems._schurs) == 4
     # f0 and phi come from sparse back-substitution: no dense block is
     # taller than the boundary
     n_be = len(solver._g0)
@@ -211,7 +215,7 @@ def test_saddle_build_memory_below_one_tall_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert solver.systems.builds == 2 and len(solver.systems._schurs) == 2
+    assert solver.systems.builds == 2
     assert peak < tall_bytes
 
 
@@ -253,7 +257,7 @@ def test_gram_rejects_band_outside_trailing_block(monkeypatch):
 def test_saddle_build_factors_a_once(monkeypatch):
     # the first build factors Lc twice (held, and band-last for its Gram) and
     # A once; every later build factors A once, whose trailing block gives
-    # the Gram of a new t; a repeated (mu, nu) factors nothing
+    # that build's Gram; a repeated (mu, nu) factors nothing
     made = []
     real_splu = solver_module.splu
     monkeypatch.setattr(solver_module, "splu",
@@ -266,7 +270,7 @@ def test_saddle_build_factors_a_once(monkeypatch):
         systems.refactor(mu, nu)
         assert len(made) - before == new
     assert systems.factorizations == len(made) == 6
-    assert systems.builds == 4 and len(systems._schurs) == 3
+    assert systems.builds == 4
 
 
 @pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4)], ids=["disk", "annulus"])
@@ -321,7 +325,7 @@ def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
     systems = _solver(mesh, degree=4).systems
     systems.refactor(1.0, 1.0)
     systems.refactor(2.0, 1.0)
-    assert systems.builds == 2 and len(systems._schurs) == 2
+    assert systems.builds == 2
     assert widths and max(widths) <= len(mesh.boundary_loops)
 
 
@@ -375,7 +379,7 @@ def _reference_iterate(solver, state):
     measure = solver.ops.fem.corner_weight.ravel()[:, None] * (solver.fd.length / solver.fd.n)
 
     def sigma_norm(h, v):
-        return np.sqrt(np.sum(measure * metric_sq(h, v, radius)))
+        return np.sqrt(np.sum(measure * _metric_sq(h, v, radius)))
 
     def gamma_norm(g):
         return np.sqrt(np.sum(solver.ops.cr.mass * g * g))
