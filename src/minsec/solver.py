@@ -6,9 +6,12 @@ edges (local step), dual ascent, residuals, and adaptive penalties.
 Corner samples and the one-sided vertical coefficients meet only through
 the transform pair :func:`bundle._forward` and :func:`bundle._inverse`.
 The per-frequency systems and the conforming frequency-zero block are
-factored when the solver is built, the edge-midpoint Laplacian at the
-first saddle build, all by :func:`spd_lu`. Every penalty change makes one
-sparse factor, with Laplacian sparsity, reads the dense boundary Schur
+factored when the solver is built (the first frequency's factor also
+orders the interior vertices for the others), the edge-midpoint Laplacian
+at the first saddle build, all by :func:`spd_lu`. The penalty-free part of
+the dense boundary Schur complement comes in closed form from the
+discrete Hodge decomposition of face fields. Every penalty change makes
+one sparse factor, with Laplacian sparsity, reads the rest of the Schur
 complement off its trailing block (:class:`_Factor`) and factors that.
 Only sparse factors and dense blocks with one row per boundary edge are
 stored; saddle solves back-substitute.
@@ -56,6 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .bundle import (TAU_BAR_VERTICAL, FiberDiscretization, _forward, _inverse,
@@ -89,6 +93,14 @@ def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     ``NATURAL``). Main thread only: a worker thread's factor is never freed (scipy 1.17)."""
     return splu(matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
+
+
+def _factor_frequency(k, L_ii, permc_spec):
+    """:func:`spd_lu` of the interior block of ``L_k``; a failure names ``k``."""
+    try:
+        return spd_lu(L_ii, permc_spec)
+    except RuntimeError as exc:
+        raise RuntimeError("factorization failed at frequency %d: %s" % (k, exc)) from exc
 
 
 class _Factor:
@@ -310,12 +322,14 @@ class GlobalSystems:
 
     The per-frequency systems are independent of the penalties and are
     factored once, all in one fill-reducing ordering of the interior
-    vertices (every ``L_k`` has the vertex pattern), from blocks gathered
-    out of each ``L_k``'s data. The frequency-zero saddle system couples
-    the conforming and edge-midpoint blocks only through boundary rows; it
-    is solved by a dense Schur complement over the boundary multiplier,
-    with the conforming block gauge-fixed at one boundary vertex (its zero
-    frequency is determined only up to a constant).
+    vertices (every ``L_k`` has the vertex pattern): ``L_1``'s interior
+    block under MMD, whose ordering is read off that held factor, then the
+    other blocks, gathered in that ordering out of each ``L_k``'s data. The
+    frequency-zero saddle system couples the conforming and edge-midpoint
+    blocks only through boundary rows; it is solved by a dense Schur
+    complement over the boundary multiplier, with the conforming block
+    gauge-fixed at one boundary vertex (its zero frequency is determined
+    only up to a constant).
 
     The edge-midpoint block ``K2 = mu*ell*Lc + nu*Lc M^-1 Lc`` (``Lc`` the
     edge-midpoint Laplacian, ``M`` its diagonal mass) is used in the exact
@@ -325,17 +339,22 @@ class GlobalSystems:
     quarter turn). ``mu*ell`` times the Schur complement depends only on
     ``t = mu*ell/nu``: by the resolvent identity it is ``S0 - nu C2 A^-1 C2^T``
     with ``A = nu (Lc + t M)``, refactored every build, and the penalty-free
-    ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, complete from the first build on.
-    A gradient circulates to zero around a closed loop, so that difference
-    cancels along the unit loop indicators ``Q`` in proportion to ``t``;
-    there the product form ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it,
-    solving one column per loop. Each Gram ``C K^-1 C^T`` is read off a
-    band-last :class:`_Factor` of ``K``: transient ones of ``L0_ff`` at setup
-    (held in its own MMD order, which solves faster) and of ``Lc`` at the first
-    build, which also holds ``Lc`` in the edge order below, and ``A``'s (held)
-    at every build, its one sparse factor from then on. One MMD ordering of the
-    interior vertices orders every ``L_k``; it ranks the vertices, the boundary
-    last, for ``L0_ff``'s Gram, and the interior edges by (lower, higher)
+    ``S0 = C1 L0^-1 C1^T + C2 Lc^-1 C2^T``, formed at the first build.
+    With ``W`` the per-face area (both components), ``L0 = G_fem^T W G_fem``
+    and ``Lc = G_cr^T W G_cr``, so the two terms are ``B P W^-1 B^T`` for the
+    W-orthogonal projections ``P`` onto the conforming gradients and the
+    turned edge-midpoint gradients. Those two spaces and the W-harmonic
+    fields (loops - 1 + 2 genus of them per connected part) split the face fields, so
+    ``S0 = B W^-1 B^T`` minus the harmonic term of :meth:`_hodge_s0`, which
+    solves nothing on a disk. A gradient circulates to zero around a closed
+    loop, so the difference ``S0 - nu C2 A^-1 C2^T`` cancels along the unit
+    loop indicators ``Q`` in proportion to ``t``; there the product form
+    ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it, solving one column per
+    loop. ``A``'s Gram ``C2 A^-1 C2^T`` is read off the trailing block of its
+    band-last :class:`_Factor`. The sparse factors are ``L_k`` (k >= 1) and
+    ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the first build, and
+    ``A``, made at every build. The one interior ordering ranks the vertices,
+    the boundary last, and orders the interior edges by (lower, higher)
     endpoint rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors
     and the Schur LU of the last build are stored. ``builds``, ``factorizations``
     and ``build_seconds`` count the builds and their sparse factors and time them.
@@ -355,46 +374,42 @@ class GlobalSystems:
         self.pin = int(self.b_vertices.min())
         self.free0 = np.delete(np.arange(n_v), self.pin)
 
-        # every L_k has the vertex pattern: one ordering of the interior serves all
+        # every L_k has the vertex pattern: L_1's MMD factor, held, orders the others
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        order = spd_lu(L0[self.interior][:, self.interior]).perm_c
-        self.interior = self.interior[np.argsort(order)]
+        natural = self.interior
+        L_1 = ops.laplacian(1)[natural]
+        lu_1 = _factor_frequency(1, L_1[:, natural], "MMD_AT_PLUS_A")
+        self.interior = natural[np.argsort(lu_1.perm_c)]
         rank = np.argsort(np.concatenate([self.interior, self.b_vertices]))
         ends = np.sort(rank[mesh.edges[mesh.interior_edges]], axis=1)
         self._edge_order = np.lexsort(ends.T[::-1])         # by lower, then higher rank
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
+        self._JG = (J @ ops.cr.gradient).tocsc()        # (2 n_f, n_ie)
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
-        self._C2 = (B @ J @ ops.cr.gradient).tocsc()    # (n_be, n_ie)
+        self._C2 = (B @ self._JG).tocsc()               # (n_be, n_ie)
         self._C1f = self._C1[:, self.free0]
-        # before the frequency factors, so as not to add to their peak; Lc's part joins at build 1
-        L0_ff = L0[self.free0][:, self.free0]
-        self._lu0 = spd_lu(L0_ff)
-        self._S0 = _Factor(L0_ff, np.argsort(rank[self.free0]), self._C1f).gram()
+        self._lu0 = spd_lu(L0[self.free0][:, self.free0])
 
         # L_k blocks are gathered from its data at 1-based positions `pos`,
-        # sorted once so that no factorization sorts the shared indices
+        # sorted once so that no factorization sorts the shared indices;
+        # _freq[k] is (factor, L_ib, the interior vertices in the factor's numbering)
         P = ops.fem.pattern
         pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
                             shape=P.shape)[self.interior].sorted_indices()
         gather = [(B.data - 1, B.indices, B.indptr, B.shape)
                   for B in (pos[:, self.interior], pos[:, self.b_vertices])]
-        self._freq = {}
-        for k in range(1, fd.k_max + 1):
+        self._freq = {1: (lu_1, L_1[:, self.b_vertices], natural)}
+        for k in range(2, fd.k_max + 1):
             data = ops.laplacian(k).data
             L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
-            try:
-                lu = spd_lu(L_ii, permc_spec="NATURAL")
-            except RuntimeError as exc:
-                raise RuntimeError("factorization failed at frequency %d: %s"
-                                   % (k, exc)) from exc
-            self._freq[k] = (lu, L_ib)
+            self._freq[k] = (_factor_frequency(k, L_ii, "NATURAL"), L_ib, self.interior)
 
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
-        self._lu_lc = self._lu_a = self._schur = None   # _schur: LU of the build's mu*ell*S
+        self._S0 = self._lu_lc = self._lu_a = self._schur = None   # _schur: LU of mu*ell*S
         self._mu = self._nu = None
         self.builds = self.factorizations = 0
         self.build_seconds = 0.0
@@ -408,8 +423,8 @@ class GlobalSystems:
         cr, C2, Q = self.ops.cr, self._C2, self._Q
         if self._lu_lc is None:
             self._lu_lc = _Factor(cr.laplacian, self._edge_order)
-            self._S0 += _Factor(cr.laplacian, self._edge_order, C2).gram()
-            self.factorizations += 2
+            self.factorizations += 1
+            self._S0 = self._hodge_s0()
         self._lu_a = self._schur = None     # released before their successors are made
         self._lu_a = _Factor(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2)
         self.factorizations += 1
@@ -428,17 +443,40 @@ class GlobalSystems:
         self.builds += 1
         self.build_seconds += time.perf_counter() - t0
 
+    def _hodge_s0(self):
+        """``S0 = B W^-1 B^T - (B Y)(Y^T W Y)^-1 (B Y)^T``, ``Y`` a basis of the
+        W-harmonic face fields: the harmonic parts of fixed pseudo-random seeds,
+        one per dimension, left after their W-orthogonal projections onto the
+        conforming gradients (``L0_ff``) and the turned edge-midpoint gradients
+        (``Lc``) are subtracted. With ``R`` from the QR of ``W^1/2 Y`` the
+        subtracted term is ``V V^T``, ``V = B Y R^-1``."""
+        ops, mesh = self.ops, self.ops.mesh
+        B, w = ops.boundary, np.repeat(ops.fem.face_area, 2)
+        S0 = (B @ sp.diags(1.0 / w) @ B.T).toarray()
+        # loops - 1 + 2 genus, summed over the connected parts: 0 on a disk
+        parts = connected_components(ops.fem.pattern, directed=False)[0]
+        h = 2 * len(mesh.triangles) - (len(mesh.vertices) - parts + len(mesh.interior_edges))
+        if h == 0:
+            return S0
+        G, JG = ops.fem.gradient[:, self.free0], self._JG
+        Y = np.random.default_rng(0).standard_normal((len(w), h))
+        WY = w[:, None] * Y
+        Y -= G @ self._lu0.solve(G.T @ WY) + JG @ self._lu_lc.solve(JG.T @ WY)
+        root = np.sqrt(w)[:, None]
+        V = B @ (np.linalg.qr(root * Y)[0] / root)
+        return S0 - V @ V.T
+
     def _solve_k2(self, r):
         """``K2^-1 r = A^-1 M Lc^-1 r`` for a vector or a block of columns ``r``."""
         return self._lu_a.solve((self.ops.cr.mass * self._lu_lc.solve(r).T).T)
 
     def solve_frequency(self, k, rhs):
         """Solve the frequency-``k`` system with pinned boundary values."""
-        lu, L_ib = self._freq[k]
+        lu, L_ib, rows = self._freq[k]
         fb = self.bd.coefficient(k)
         out = np.zeros(rhs.shape[0], dtype=complex)
         out[self.b_vertices] = fb
-        out[self.interior] = lu.solve(rhs[self.interior] - L_ib @ fb)
+        out[rows] = lu.solve(rhs[rows] - L_ib @ fb)
         return out
 
     def solve_zero(self, rhs1, rhs2, g0):

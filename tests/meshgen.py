@@ -117,6 +117,41 @@ def rectangle(nx=23, ny=24, width=1.0, height=1.0):
     return TriMesh(verts, tris)
 
 
+def punctured_torus(n_major=12, n_minor=8, major=1.0, minor=0.4):
+    """Torus grid with the quad at grid position (0, 0) removed: genus 1, one
+    boundary loop, so two harmonic face fields (``2 n_f - (n_v - 1 + n_ie)``)."""
+    u = 2 * np.pi * np.arange(n_major) / n_major
+    v = 2 * np.pi * np.arange(n_minor) / n_minor
+    U, V = np.meshgrid(u, v, indexing="ij")
+    ring = major + minor * np.cos(V)
+    verts = np.column_stack([(ring * np.cos(U)).ravel(), (ring * np.sin(U)).ravel(),
+                             (minor * np.sin(V)).ravel()])
+    tris = []
+    for i in range(n_major):
+        for j in range(n_minor):
+            if i == 0 and j == 0:
+                continue
+            a = i * n_minor + j
+            b = (i + 1) % n_major * n_minor + j
+            c = (i + 1) % n_major * n_minor + (j + 1) % n_minor
+            d = i * n_minor + (j + 1) % n_minor
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+    return TriMesh(verts, tris)
+
+
+def side_by_side(*meshes, gap=0.5):
+    """The meshes as one, each shifted along x past the one before: one
+    connected part per input mesh."""
+    verts, tris, x, base = [], [], 0.0, 0
+    for m in meshes:
+        v = m.vertices - [m.vertices[:, 0].min() - x, 0.0, 0.0]
+        verts.append(v)
+        tris.append(m.triangles + base)
+        x, base = v[:, 0].max() + gap, base + len(v)
+    return TriMesh(np.vstack(verts), np.vstack(tris))
+
+
 def icosahedron_open():
     """Unit icosahedron with one face removed (so it has a boundary)."""
     t = (1 + np.sqrt(5)) / 2

@@ -95,10 +95,10 @@ def test_minsec_end_to_end(disk_obj, tmp_path):
     assert "time_refactor_seconds" in diag
     builds = [ln for ln in diag.splitlines() if ln.startswith("saddle_builds ")]
     assert len(builds) == 1 and int(builds[0].split()[1]) >= 1
-    # Lc twice at the first build, then one factor of A per build
+    # Lc at the first build, then one factor of A per build
     lines = diag.splitlines()
     assert lines[lines.index(builds[0]) + 1] == "sparse_factorizations %d" % (
-        int(builds[0].split()[1]) + 2)
+        int(builds[0].split()[1]) + 1)
     assert "cdf" in diag and "w2" in diag and "resid" in diag
 
     # round trip: field re-read and re-expressed in the exported frames

@@ -220,9 +220,10 @@ def test_saddle_build_memory_below_one_tall_block():
 
 
 def _gram_pairs(systems):
-    """Every (matrix, ordering, C) triple whose Gram enters the Schur
-    complement: ``L0_ff`` in the vertex ranks, ``Lc`` and ``A`` (which has
-    the pattern of ``Lc``) in the edge order derived from them."""
+    """(matrix, ordering, C) triples of band-last Grams: ``A`` (which has the
+    pattern of ``Lc``), whose Gram enters the Schur complement, at three
+    ``t``, and on other bands ``L0_ff`` in the vertex ranks and ``Lc``, both
+    in the orders a build would give them."""
     cr, C2, edges = systems.ops.cr, systems._C2, systems._edge_order
     L0_ff = systems._L0[systems.free0][:, systems.free0]
     rank = np.argsort(np.concatenate([systems.interior, systems.b_vertices]))
@@ -244,6 +245,47 @@ def test_gram_matches_column_solves(mesh):
         assert np.abs(G - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize("mesh, parts, harmonic, iterations", [
+    (meshgen.disk(5), 1, 0, 0), (meshgen.annulus(4), 1, 1, 0), (meshgen.annulus(8), 1, 1, 0),
+    (meshgen.spherical_cap(6), 1, 0, 0), (meshgen.saddle(6), 1, 0, 0),
+    (meshgen.punctured_torus(), 1, 2, 20),
+    (meshgen.side_by_side(meshgen.disk(3), meshgen.annulus(4)), 2, 1, 0)],
+    ids=["disk", "annulus4", "annulus8", "cap", "saddle", "torus", "disk-annulus"])
+def test_hodge_s0_matches_column_solves(mesh, parts, harmonic, iterations):
+    # S0 from the discrete Hodge decomposition against its column-solve form
+    # C1f L0_ff^-1 C1f^T + C2 Lc^-1 C2^T; the harmonic fields number
+    # loops - 1 + 2 genus per connected part, so on the torus a basis of loop
+    # fields alone is short, and with two parts the count is not 1 - chi
+    solver = _solver(mesh, degree=4, max_iters=max(iterations, 1), eps=0.0)
+    systems = solver.systems
+    n_f, n_v, n_ie = len(mesh.triangles), len(mesh.vertices), len(mesh.interior_edges)
+    assert 2 * n_f - (n_v - parts + n_ie) == harmonic
+    systems.refactor(1.0, 1.0)
+    C1f, C2 = systems._C1f, systems._C2
+    L0_ff = systems._L0[systems.free0][:, systems.free0]
+    oracle = (C1f @ spd_lu(L0_ff).solve(C1f.T.toarray())
+              + C2 @ spd_lu(systems.ops.cr.laplacian).solve(C2.T.toarray()))
+    assert np.abs(systems._S0 - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    if iterations:
+        report = solver.run().report
+        assert report.iterations == iterations
+        assert report.kkt_residual <= 1e-9
+
+
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.spherical_cap(6),
+                                  meshgen.fan_disk(8), meshgen.saddle(6)],
+                         ids=["disk", "annulus", "cap", "fan", "saddle"])
+def test_first_frequency_ordering_equals_real_l0(mesh):
+    # the interior ordering is read off L_1's MMD factor; it equals the MMD
+    # ordering of the real L0 interior block (the blocks share a pattern), so
+    # the derived edge order and every factor are as under L0's ordering
+    solver = _solver(mesh, degree=4)
+    interior = np.nonzero(~mesh.is_boundary_vertex)[0]
+    L0 = solver.ops.laplacian(0).real.tocsc()[interior][:, interior]
+    L1 = solver.ops.laplacian(1)[interior][:, interior]
+    assert np.array_equal(spd_lu(L1).perm_c, spd_lu(L0).perm_c)
+
+
 def test_gram_rejects_band_outside_trailing_block(monkeypatch):
     # a factor that reorders the band away from the end must not yield a block
     systems = _solver(meshgen.disk(5), degree=4).systems
@@ -255,21 +297,21 @@ def test_gram_rejects_band_outside_trailing_block(monkeypatch):
 
 
 def test_saddle_build_factors_a_once(monkeypatch):
-    # the first build factors Lc twice (held, and band-last for its Gram) and
-    # A once; every later build factors A once, whose trailing block gives
-    # that build's Gram; a repeated (mu, nu) factors nothing
+    # the first build factors Lc (held) and A once; every later build factors
+    # A once, whose trailing block gives that build's Gram; a repeated
+    # (mu, nu) factors nothing
     made = []
     real_splu = solver_module.splu
     monkeypatch.setattr(solver_module, "splu",
                         lambda *args, **kw: made.append(1) or real_splu(*args, **kw))
     systems = _solver(meshgen.disk(5), degree=4).systems
     del made[:]
-    for (mu, nu), new in [((1.0, 1.0), 3), ((2.0, 1.0), 1), ((2.0, 1.0), 0), ((4.0, 2.0), 1),
+    for (mu, nu), new in [((1.0, 1.0), 2), ((2.0, 1.0), 1), ((2.0, 1.0), 0), ((4.0, 2.0), 1),
                           ((2.0 ** -20, 1.0), 1)]:
         before = len(made)
         systems.refactor(mu, nu)
         assert len(made) - before == new
-    assert systems.factorizations == len(made) == 6
+    assert systems.factorizations == len(made) == 5
     assert systems.builds == 4
 
 
@@ -315,8 +357,9 @@ class _RecordingLU:
 
 
 def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
-    # no boundary-edge-wide block of columns is solved: the Grams come from
-    # trailing factor blocks, only the loop product form solves
+    # no boundary-edge-wide block of columns is solved: A's Gram comes from
+    # its trailing factor block and S0 from the Hodge form (no solve on a
+    # disk), only the loop product form solves
     widths = []
     real_splu = solver_module.splu
     monkeypatch.setattr(solver_module, "splu",
@@ -333,8 +376,9 @@ def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
                                   meshgen.fan_disk(12)],
                          ids=["disk", "annulus", "cap", "fan"])
 def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
-    # every L_k is factored once, in the one interior ordering, from blocks
-    # gathered out of its data; none fills in more than under its own MMD
+    # every L_k is factored once, in the one interior ordering: L_1's block
+    # under MMD, whose ordering the others are gathered in from their data
+    # and factored under NATURAL; none fills in more than under its own MMD
     factored = []
 
     def recording(matrix, permc_spec="MMD_AT_PLUS_A"):
@@ -344,17 +388,18 @@ def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
     monkeypatch.setattr(solver_module, "spd_lu", recording)
     solver = _solver(mesh, degree=4)
     systems, ops, K = solver.systems, solver.ops, solver.fd.k_max
-    rows, cols = systems.interior, systems.b_vertices
-    assert np.array_equal(np.sort(rows), np.nonzero(~mesh.is_boundary_vertex)[0])
+    cols, natural = systems.b_vertices, np.nonzero(~mesh.is_boundary_vertex)[0]
+    assert np.array_equal(np.sort(systems.interior), natural)
     freq = [(matrix, spec) for matrix, spec in factored if np.iscomplexobj(matrix.data)]
-    assert len(freq) == K and {spec for _, spec in freq} == {"NATURAL"}
+    assert len(freq) == K
+    assert [spec for _, spec in freq] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (K - 1)
     for k, (L_ii, _) in enumerate(freq, start=1):
         L = ops.laplacian(k)
-        lu, L_ib = systems._freq[k]
+        lu, L_ib, rows = systems._freq[k]
+        assert np.array_equal(rows, natural if k == 1 else systems.interior)
         for block, want in ((L_ii, L[rows][:, rows]), (L_ib, L[rows][:, cols])):
             assert block.shape == want.shape and block.nnz == want.nnz
             assert np.array_equal(block.toarray(), want.toarray())
-        natural = np.sort(rows)
         mmd = spd_lu(L[natural][:, natural])
         assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
@@ -729,10 +774,10 @@ def test_annulus_two_loops():
 def test_saddle_build_telemetry():
     mesh = meshgen.disk(4)
     fixed = run_admm(mesh, SolverConfig(degree=4, fiber_n=16, max_iters=1, eps=0.0))
-    assert fixed.report.saddle_builds == 1 and fixed.report.factorizations == 3
+    assert fixed.report.saddle_builds == 1 and fixed.report.factorizations == 2
     assert fixed.report.timings["refactor"] > 0.0
     solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=16, max_iters=30, eps=0.0))
-    for lc_factors in (2, 0):   # timings and counts cover one run, not every run
+    for lc_factors in (1, 0):   # timings and counts cover one run, not every run
         rep = solver.run().report
         assert rep.saddle_builds >= 1
         assert rep.factorizations == rep.saddle_builds + lc_factors
