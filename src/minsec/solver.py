@@ -8,13 +8,19 @@ the transform pair :func:`bundle._forward` and :func:`bundle._inverse`.
 The per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built (the first frequency's factor also
 orders the interior vertices for the others), the edge-midpoint Laplacian
-at the first saddle build, all by :func:`spd_lu`. The penalty-free part of
-the dense boundary Schur complement comes in closed form from the
-discrete Hodge decomposition of face fields. Every penalty change makes
-one sparse factor, with Laplacian sparsity, reads the rest of the Schur
-complement off its trailing block (:class:`_Factor`) and factors that.
-Only sparse factors and dense blocks with one row per boundary edge are
-stored; saddle solves back-substitute.
+at the first saddle build, all by :func:`spd_lu`. Setup factors the
+first frequency on the calling thread and sends the conforming block and
+every other frequency to ``_OWNERS``, one owner thread per usable core,
+as soon as each block is gathered. scipy's SuperLU frees a factor only on
+the thread that made it, so an owner's factors live only in that owner's
+box, and the box is emptied on its owner when the systems are collected.
+Every solve runs on the calling thread. The
+penalty-free part of the dense boundary Schur complement comes in closed
+form from the discrete Hodge decomposition of face fields. Every penalty
+change makes one sparse factor, with Laplacian sparsity, reads the rest
+of the Schur complement off its trailing block (:class:`_Factor`) and
+factors that. Only sparse factors and dense blocks with one row per
+boundary edge are stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner incidence and transport powers
 of :mod:`operators`; the solver builds none of its own.
@@ -32,8 +38,13 @@ they go to a module-level thread pool of at most one thread per usable
 core (numpy releases the GIL in its array loops). Worker threads call no
 public function or method of the package: the span tracing of
 ``perfbench`` keeps one span stack for all threads, so every traced call
-must come from the main thread. The sparse solves and the penalty logic
-stay there.
+must come from the main thread. The owners, too, run only private
+functions; the sparse solves and the penalty logic stay on the main
+thread. While the solver is built and while :meth:`AdmmSolver.run` runs,
+every OpenBLAS loaded in the process is held to one thread and the
+caller's thread counts are restored afterwards (``_ONE_BLAS_THREAD``):
+idle OpenBLAS threads busy-wait and take cores from these threads, and a
+threaded BLAS call sums in an order that depends on the thread count.
 
 The sweeps update the state's four sample arrays (``sigma_h``,
 ``sigma_v``, ``w_h``, ``w_v``) in place. The duals are overwritten where
@@ -50,15 +61,22 @@ Both penalties start at 1 and are adapted every iteration; the objective
 is recorded every iteration.
 """
 
+import atexit
+import ctypes
+import functools
 import numbers
 import os
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -87,20 +105,178 @@ def _usable_cores():
 _POOL = ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="minsec-sweep")
 
 
+class _Owner:
+    """One daemon thread that runs the jobs given to it one at a time, in
+    order: :meth:`submit` returns a future, :meth:`post` nothing.
+
+    :meth:`post` only puts to a ``queue.SimpleQueue``, whose ``put`` is
+    reentrant, so a finalizer may call it from whatever thread a garbage
+    collection runs on. ``ThreadPoolExecutor.submit`` may not: it takes
+    locks that a submit interrupted by that collection already holds, and a
+    finalizer that submits from there deadlocks."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._thread = None
+
+    def submit(self, fn, *args):
+        with self._lock:
+            if self._thread is None or not self._thread.is_alive():    # first use, or after a fork
+                self._thread = threading.Thread(target=self._serve, name="minsec-factor",
+                                                daemon=True)
+                self._thread.start()
+        future = Future()
+        self.post(_settle, future, fn, args)
+        return future
+
+    def post(self, fn, *args):
+        self._jobs.put((fn, args))
+
+    def stop(self):
+        """Ends the thread once every job given before has run."""
+        with self._lock:
+            thread, self._thread = self._thread, None
+        if thread is not None and thread.is_alive():
+            self.post(None)
+            thread.join()
+
+    def _serve(self):
+        while True:
+            fn, args = self._jobs.get()
+            if fn is None:
+                return
+            fn(*args)
+            del fn, args                # hold no job's arguments while idle
+
+
+def _settle(future, fn, args):
+    """``fn(*args)``'s result or exception into ``future``."""
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:
+        future.set_exception(exc)
+
+
+#: One owner per usable core. Owner ``i`` makes, holds and frees the factors
+#: sent to it: scipy's SuperLU frees a factor only on the thread that made it.
+#: They stop at interpreter exit: a factor still held then is freed in the
+#: interpreter's teardown, which fails while the thread that made it lives.
+_OWNERS = [_Owner() for _ in range(_usable_cores())]
+atexit.register(lambda: [owner.stop() for owner in _OWNERS])
+
+
+class _OneBlasThread:
+    """Holds every OpenBLAS loaded in the process to one thread while any
+    caller is inside, and restores the caller's counts on the last exit.
+
+    OpenBLAS worker threads busy-wait after each threaded call and take cores
+    from the owner and sweep threads, and a threaded call sums in an order
+    that depends on the thread count. numpy and scipy may each load their own
+    OpenBLAS; the libraries are found once, from the process's memory map,
+    under the symbol names below. Where none is found this does nothing.
+    """
+
+    _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._libraries = None
+        self._saved = []
+
+    def libraries(self):
+        """``(path, get, set)`` of each OpenBLAS mapped into the process."""
+        if self._libraries is None:
+            try:
+                with open("/proc/self/maps") as fh:
+                    paths = {line.split(None, 5)[-1].strip() for line in fh}
+            except OSError:                 # no memory map on this platform
+                paths = set()
+            found = []
+            for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+                try:
+                    lib = ctypes.CDLL(path)
+                except OSError:
+                    continue
+                for get, set_ in self._SYMBOLS:
+                    if hasattr(lib, get) and hasattr(lib, set_):
+                        get, set_ = getattr(lib, get), getattr(lib, set_)
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        set_.argtypes, set_.restype = [ctypes.c_int], None
+                        found.append((path, get, set_))
+                        break
+            self._libraries = found
+        return self._libraries
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_, get()) for _, get, set_ in self.libraries()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+        return False
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _with_one_blas_thread(fn):
+    """``fn`` run inside ``_ONE_BLAS_THREAD``. The wrapper's code lives in this
+    module, which the span tracer checks before it wraps a method."""
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        with _ONE_BLAS_THREAD:
+            return fn(*args, **kwargs)
+    return pinned
+
+
 def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU of a symmetric (or Hermitian) positive definite matrix, diagonal pivots,
     symmetric fill-reducing ordering unless ``permc_spec`` names another (:class:`_Factor`:
-    ``NATURAL``). Main thread only: a worker thread's factor is never freed (scipy 1.17)."""
+    ``NATURAL``). Free a factor on the thread that made it: scipy's SuperLU frees it
+    only there, and on any other thread its memory is never returned."""
+    return _spd_lu(matrix, permc_spec)
+
+
+def _spd_lu(matrix, permc_spec):
+    """:func:`spd_lu`, which owner threads call (they call no public function)."""
     return splu(matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
 
 
 def _factor_frequency(k, L_ii, permc_spec):
-    """:func:`spd_lu` of the interior block of ``L_k``; a failure names ``k``."""
+    """:func:`spd_lu` of the interior block of ``L_k`` (``k = 0``: ``L0_ff``);
+    a failure names ``k``."""
     try:
-        return spd_lu(L_ii, permc_spec)
+        return _spd_lu(L_ii, permc_spec)
     except RuntimeError as exc:
         raise RuntimeError("factorization failed at frequency %d: %s" % (k, exc)) from exc
+
+
+def _factor_into(box, k, L_ii, permc_spec):
+    """Owner job: :func:`_factor_frequency` into ``box[k]``. It returns
+    nothing, so that no future holds the factor."""
+    box[k] = _factor_frequency(k, L_ii, permc_spec)
+
+
+def _release(owners, boxes):
+    """Empties each box on its own owner, so that its factors are freed on the
+    thread that made them. A finalizer: it only posts."""
+    for owner, box in zip(owners, boxes):
+        owner.post(box.clear)
 
 
 class _Factor:
@@ -109,7 +285,8 @@ class _Factor:
     go last, and :meth:`gram` is the dense ``C K^-1 C^T`` without column solves:
     with ``U_tt`` the trailing ``m x m`` block of ``U`` and ``D`` the diagonal,
     ``K^-1`` on the band is ``(U_tt^T D^-1 U_tt)^-1``, so the Gram is ``Z^T D Z``,
-    ``Z = U_tt^-T C_band^T``."""
+    ``Z = U_tt^-T C_band^T``, formed as one symmetric rank-``m`` update of
+    ``D^1/2 Z`` in scipy's BLAS."""
 
     def __init__(self, K, order, C=None):
         if C is not None:       # the band last, the rest in order
@@ -126,10 +303,16 @@ class _Factor:
         if pos.min() < 0 or not np.array_equal(self.lu.perm_r[lead:] - lead, pos):
             raise RuntimeError("boundary band left the trailing block of its factor")
         U = self.lu.U.tocsc()[lead:, lead:].toarray()
+        d = np.diag(U)
+        if d.min() <= 0:
+            raise RuntimeError("non-positive pivot on the boundary band of an SPD factor")
         X = np.empty((len(pos), self.C.shape[0]))
         X[pos] = self.C[:, self.order[lead:]].T.toarray()
         Z = sla.solve_triangular(U, X, trans="T", overwrite_b=True)
-        return (Z.T * np.diag(U)) @ Z
+        Z *= np.sqrt(d)[:, None]
+        G = dsyrk(1.0, Z, trans=1)          # the upper triangle of Z^T Z
+        G += np.triu(G, 1).T
+        return G
 
 
 @dataclass
@@ -328,8 +511,9 @@ class GlobalSystems:
     frequency-zero saddle system couples the conforming and edge-midpoint
     blocks only through boundary rows; it is solved by a dense Schur
     complement over the boundary multiplier, with the conforming block
-    gauge-fixed at one boundary vertex (its zero frequency is determined
-    only up to a constant).
+    gauge-fixed at one vertex per connected part, a boundary vertex where
+    the part has one (its zero frequency is determined only up to a
+    constant on each part).
 
     The edge-midpoint block ``K2 = mu*ell*Lc + nu*Lc M^-1 Lc`` (``Lc`` the
     edge-midpoint Laplacian, ``M`` its diagonal mass) is used in the exact
@@ -353,13 +537,16 @@ class GlobalSystems:
     loop. ``A``'s Gram ``C2 A^-1 C2^T`` is read off the trailing block of its
     band-last :class:`_Factor`. The sparse factors are ``L_k`` (k >= 1) and
     ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the first build, and
-    ``A``, made at every build. The one interior ordering ranks the vertices,
-    the boundary last, and orders the interior edges by (lower, higher)
-    endpoint rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors
-    and the Schur LU of the last build are stored. ``builds``, ``factorizations``
-    and ``build_seconds`` count the builds and their sparse factors and time them.
+    ``A``, made at every build; ``L0_ff`` and ``L_k`` for k >= 2 are made on
+    the owner threads and read through :meth:`_lu`. The one interior
+    ordering ranks the vertices, the boundary last, and orders the interior
+    edges by (lower, higher) endpoint rank for ``Lc`` and ``A``. Only ``S0``,
+    ``Q``, the sparse factors and the Schur LU of the last build are stored.
+    ``builds``, ``factorizations`` and ``build_seconds`` count the builds and
+    their sparse factors and time them.
     """
 
+    @_with_one_blas_thread
     def __init__(self, ops, fd, boundary_data):
         self.ops = ops
         self.fd = fd
@@ -371,18 +558,46 @@ class GlobalSystems:
         is_b = np.zeros(n_v, dtype=bool)
         is_b[self.b_vertices] = True
         self.interior = np.nonzero(~is_b)[0]
-        self.pin = int(self.b_vertices.min())
-        self.free0 = np.delete(np.arange(n_v), self.pin)
+        # one gauge vertex per connected part: its lowest boundary vertex, if any
+        n_parts, part = connected_components(ops.fem.pattern, directed=False)
+        by_part = np.lexsort((~is_b, part))
+        self.pins = by_part[np.searchsorted(part[by_part], np.arange(n_parts))]
+        self.free0 = np.delete(np.arange(n_v), self.pins)
+
+        # factors made on owner i live only in self._boxes[i], keyed by frequency
+        # (0: L0_ff), and are released there when the systems are collected
+        owners = _OWNERS
+        self._boxes = [{} for _ in owners]
+        weakref.finalize(self, _release, owners, self._boxes)
+        self._L0 = L0 = ops.laplacian(0).real.tocsc()
+        jobs = [owners[0].submit(_factor_into, self._boxes[0], 0,
+                                 L0[self.free0][:, self.free0], "MMD_AT_PLUS_A")]
 
         # every L_k has the vertex pattern: L_1's MMD factor, held, orders the others
-        self._L0 = L0 = ops.laplacian(0).real.tocsc()
         natural = self.interior
         L_1 = ops.laplacian(1)[natural]
-        lu_1 = _factor_frequency(1, L_1[:, natural], "MMD_AT_PLUS_A")
-        self.interior = natural[np.argsort(lu_1.perm_c)]
+        self._lu_1 = _factor_frequency(1, L_1[:, natural], "MMD_AT_PLUS_A")
+        self.interior = natural[np.argsort(self._lu_1.perm_c)]
         rank = np.argsort(np.concatenate([self.interior, self.b_vertices]))
         ends = np.sort(rank[mesh.edges[mesh.interior_edges]], axis=1)
         self._edge_order = np.lexsort(ends.T[::-1])         # by lower, then higher rank
+
+        # L_k blocks are gathered from its data at 1-based positions `pos`,
+        # sorted once so that no factorization sorts the shared indices, and
+        # each is factored on owner k mod n as soon as it is gathered;
+        # _freq[k] is (L_ib, the interior vertices in the factor's numbering)
+        P = ops.fem.pattern
+        pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
+                            shape=P.shape)[self.interior].sorted_indices()
+        gather = [(B.data - 1, B.indices, B.indptr, B.shape)
+                  for B in (pos[:, self.interior], pos[:, self.b_vertices])]
+        self._freq = {1: (L_1[:, self.b_vertices], natural)}
+        for k in range(2, fd.k_max + 1):
+            data = ops.laplacian(k).data
+            L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
+            self._freq[k] = (L_ib, self.interior)
+            i = k % len(owners)
+            jobs.append(owners[i].submit(_factor_into, self._boxes[i], k, L_ii, "NATURAL"))
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
@@ -390,21 +605,9 @@ class GlobalSystems:
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ self._JG).tocsc()               # (n_be, n_ie)
         self._C1f = self._C1[:, self.free0]
-        self._lu0 = spd_lu(L0[self.free0][:, self.free0])
-
-        # L_k blocks are gathered from its data at 1-based positions `pos`,
-        # sorted once so that no factorization sorts the shared indices;
-        # _freq[k] is (factor, L_ib, the interior vertices in the factor's numbering)
-        P = ops.fem.pattern
-        pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
-                            shape=P.shape)[self.interior].sorted_indices()
-        gather = [(B.data - 1, B.indices, B.indptr, B.shape)
-                  for B in (pos[:, self.interior], pos[:, self.b_vertices])]
-        self._freq = {1: (lu_1, L_1[:, self.b_vertices], natural)}
-        for k in range(2, fd.k_max + 1):
-            data = ops.laplacian(k).data
-            L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
-            self._freq[k] = (_factor_frequency(k, L_ii, "NATURAL"), L_ib, self.interior)
+        wait(jobs)
+        for job in jobs:
+            job.result()
 
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
@@ -453,18 +656,22 @@ class GlobalSystems:
         ops, mesh = self.ops, self.ops.mesh
         B, w = ops.boundary, np.repeat(ops.fem.face_area, 2)
         S0 = (B @ sp.diags(1.0 / w) @ B.T).toarray()
-        # loops - 1 + 2 genus, summed over the connected parts: 0 on a disk
-        parts = connected_components(ops.fem.pattern, directed=False)[0]
-        h = 2 * len(mesh.triangles) - (len(mesh.vertices) - parts + len(mesh.interior_edges))
+        # loops - 1 + 2 genus, summed over the connected parts (one pin each): 0 on a disk
+        h = 2 * len(mesh.triangles) - (len(mesh.vertices) - len(self.pins)
+                                       + len(mesh.interior_edges))
         if h == 0:
             return S0
         G, JG = ops.fem.gradient[:, self.free0], self._JG
         Y = np.random.default_rng(0).standard_normal((len(w), h))
         WY = w[:, None] * Y
-        Y -= G @ self._lu0.solve(G.T @ WY) + JG @ self._lu_lc.solve(JG.T @ WY)
+        Y -= G @ self._lu(0).solve(G.T @ WY) + JG @ self._lu_lc.solve(JG.T @ WY)
         root = np.sqrt(w)[:, None]
         V = B @ (np.linalg.qr(root * Y)[0] / root)
         return S0 - V @ V.T
+
+    def _lu(self, k):
+        """The factor of frequency ``k``'s interior block; ``k = 0``: ``L0_ff``."""
+        return self._lu_1 if k == 1 else self._boxes[k % len(self._boxes)][k]
 
     def _solve_k2(self, r):
         """``K2^-1 r = A^-1 M Lc^-1 r`` for a vector or a block of columns ``r``."""
@@ -472,11 +679,11 @@ class GlobalSystems:
 
     def solve_frequency(self, k, rhs):
         """Solve the frequency-``k`` system with pinned boundary values."""
-        lu, L_ib, rows = self._freq[k]
+        L_ib, rows = self._freq[k]
         fb = self.bd.coefficient(k)
         out = np.zeros(rhs.shape[0], dtype=complex)
         out[self.b_vertices] = fb
-        out[rows] = lu.solve(rhs[rows] - L_ib @ fb)
+        out[rows] = self._lu(k).solve(rhs[rows] - L_ib @ fb)
         return out
 
     def solve_zero(self, rhs1, rhs2, g0):
@@ -487,10 +694,10 @@ class GlobalSystems:
         operator, coupled by the boundary circulation rows equal to ``g0``.
         """
         mu_ell = self._mu * self.fd.length
-        C1f, C2 = self._C1f, self._C2
+        C1f, C2, lu0 = self._C1f, self._C2, self._lu(0)
 
         def solve1(r):                                  # (mu*ell*L0_ff)^{-1} r
-            return self._lu0.solve(r) / mu_ell
+            return lu0.solve(r) / mu_ell
 
         r1 = rhs1[self.free0]
         beta = mu_ell * sla.lu_solve(self._schur, C1f @ solve1(r1) + C2 @ self._solve_k2(rhs2) - g0)
@@ -727,6 +934,7 @@ class AdmmSolver:
         state.iteration += 1
         return np.array([r_p_mu, r_d_mu, r_p_nu, r_d_nu]), self._objective(mass_sigma, state.gamma)
 
+    @_with_one_blas_thread
     def run(self):
         cfg = self.config
         state = init_state(self.ops, self.fd, self.kappa_bar)

@@ -1,6 +1,9 @@
 import concurrent.futures
+import contextlib
+import gc
 import inspect
 import itertools
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -272,6 +275,18 @@ def test_hodge_s0_matches_column_solves(mesh, parts, harmonic, iterations):
         assert report.kkt_residual <= 1e-9
 
 
+def test_gauge_pinned_once_per_connected_part():
+    # the zero frequency is determined up to a constant on each connected
+    # part, so each part pins one (boundary) vertex and L0_ff is regular
+    mesh = meshgen.side_by_side(meshgen.disk(3), meshgen.disk(3))
+    solver = _solver(mesh, degree=4, max_iters=20, eps=0.0)
+    systems = solver.systems
+    assert len(systems.pins) == 2 and mesh.is_boundary_vertex[systems.pins].all()
+    pivots = np.abs(systems._lu(0).U.diagonal())
+    assert pivots.min() >= 1e-8 * pivots.max()
+    assert solver.run().report.kkt_residual <= 1e-9
+
+
 @pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.spherical_cap(6),
                                   meshgen.fan_disk(8), meshgen.saddle(6)],
                          ids=["disk", "annulus", "cap", "fan", "saddle"])
@@ -378,30 +393,47 @@ def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
 def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
     # every L_k is factored once, in the one interior ordering: L_1's block
     # under MMD, whose ordering the others are gathered in from their data
-    # and factored under NATURAL; none fills in more than under its own MMD
-    factored = []
+    # and factored under NATURAL (on the owner threads, in any order); none
+    # fills in more than under its own MMD
+    factored = {}
+    real = solver_module._factor_frequency
 
-    def recording(matrix, permc_spec="MMD_AT_PLUS_A"):
-        factored.append((matrix, permc_spec))
-        return spd_lu(matrix, permc_spec)
+    def recording(k, matrix, permc_spec):
+        factored[k] = (matrix, permc_spec)
+        return real(k, matrix, permc_spec)
 
-    monkeypatch.setattr(solver_module, "spd_lu", recording)
+    monkeypatch.setattr(solver_module, "_factor_frequency", recording)
     solver = _solver(mesh, degree=4)
     systems, ops, K = solver.systems, solver.ops, solver.fd.k_max
     cols, natural = systems.b_vertices, np.nonzero(~mesh.is_boundary_vertex)[0]
     assert np.array_equal(np.sort(systems.interior), natural)
-    freq = [(matrix, spec) for matrix, spec in factored if np.iscomplexobj(matrix.data)]
-    assert len(freq) == K
-    assert [spec for _, spec in freq] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (K - 1)
-    for k, (L_ii, _) in enumerate(freq, start=1):
-        L = ops.laplacian(k)
-        lu, L_ib, rows = systems._freq[k]
+    assert sorted(factored) == list(range(K + 1))        # 0: L0_ff
+    assert [factored[k][1] for k in range(1, K + 1)] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (K - 1)
+    for k in range(1, K + 1):
+        L, L_ii = ops.laplacian(k), factored[k][0]
+        L_ib, rows = systems._freq[k]
+        lu = systems._lu(k)
         assert np.array_equal(rows, natural if k == 1 else systems.interior)
         for block, want in ((L_ii, L[rows][:, rows]), (L_ib, L[rows][:, cols])):
             assert block.shape == want.shape and block.nnz == want.nnz
             assert np.array_equal(block.toarray(), want.toarray())
         mmd = spd_lu(L[natural][:, natural])
         assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+
+def test_owner_factor_failure_names_frequency(monkeypatch):
+    # a factor that fails on an owner thread stops setup on the main thread,
+    # naming the first failing frequency in job order
+    real = solver_module._spd_lu
+
+    def failing(matrix, permc_spec):
+        if permc_spec == "NATURAL":         # every k >= 2 block
+            raise RuntimeError("Factor is exactly singular")
+        return real(matrix, permc_spec)
+
+    monkeypatch.setattr(solver_module, "_spd_lu", failing)
+    with pytest.raises(RuntimeError, match="failed at frequency 2: Factor is exactly singular"):
+        _solver(meshgen.disk(4), degree=4)
 
 
 def _reference_iterate(solver, state):
@@ -579,29 +611,112 @@ def test_workers_call_no_public_function(monkeypatch):
     assert {name for name, ids in threads.items() if ids != {main}} == set()
 
 
-def test_sparse_factors_made_on_main_thread_only(monkeypatch):
-    # a SuperLU factor made on a worker thread and freed on the main thread
-    # is never freed (scipy 1.17): setup, saddle builds and a multi-chunk
-    # solve make every factor on the main thread
+class _RecordingFactor(_RecordingLU):
+    """A sparse factor that records the thread that made it and the one that freed it."""
+
+    def __init__(self, lu, matrix, records):
+        super().__init__(lu, [])
+        self._record = {"complex": np.iscomplexobj(matrix.data),
+                        "made": threading.get_ident(), "freed": None}
+        records.append(self._record)
+
+    def __del__(self):
+        self._record["freed"] = threading.get_ident()
+
+
+def _record_factors(monkeypatch):
+    """Makes every sparse factor of the solver a :class:`_RecordingFactor`;
+    returns the list of their records."""
+    records = []
+    real_splu = solver_module.splu
+    monkeypatch.setattr(solver_module, "splu", lambda matrix, *args, **kw: _RecordingFactor(
+        real_splu(matrix, *args, **kw), matrix, records))
+    return records
+
+
+def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
+    # scipy's SuperLU frees a factor only on the thread that made it: setup
+    # sends L0_ff and the frequency blocks k >= 2 to the owner threads (here
+    # more owners than cores, switching threads often), which free them once
+    # the solver is collected; the k = 1 block, Lc and every A are made and
+    # freed on the main thread
     mesh, fiber_n, chunk_faces = CHUNKED[0]
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
     monkeypatch.setattr(solver_module, "_POOL", pool)
-    on_main = []
-    real_splu = solver_module.splu
+    owners = [solver_module._Owner() for _ in range(3)]
+    monkeypatch.setattr(solver_module, "_OWNERS", owners)
+    records = _record_factors(monkeypatch)
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=12))
+        K = solver.fd.k_max
+        report = solver.run().report
+        assert len(solver._chunks) >= 6 and report.saddle_builds >= 2
+        del solver
+        gc.collect()
+        pool.shutdown()
+        for owner in owners:                # an owner's release runs before it stops
+            owner.stop()
+    finally:
+        sys.setswitchinterval(switch)
+    main = threading.get_ident()
+    assert len(records) == K + 2 + report.saddle_builds      # L_k, L0_ff, Lc and each A
+    assert all(r["freed"] == r["made"] for r in records), records
+    off_main = [r for r in records if r["made"] != main]
+    assert sum(r["complex"] for r in off_main) == K - 1
+    assert sum(not r["complex"] for r in off_main) == 1      # L0_ff
+    assert len({r["made"] for r in off_main}) == len(owners)
 
-    def recording(*args, **kwargs):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real_splu(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "splu", recording)
-    solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=12))
-    at_setup = len(on_main)
-    report = solver.run().report
-    pool.shutdown()
-    assert len(solver._chunks) >= 6 and report.saddle_builds >= 2
-    assert at_setup > solver.fd.k_max and len(on_main) > at_setup
-    assert all(on_main)
+_COLLECTED_ANYWHERE = """
+import gc, sys, threading
+sys.path[:0] = %r
+import meshgen
+from minsec import solver
+main, owned, returned = threading.get_ident(), [], []
+
+class Recording:
+    def __init__(self, lu):
+        self.lu, self.made = lu, threading.get_ident()
+        if self.made != main:
+            owned.append(1)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def __del__(self):
+        if self.made != main and threading.get_ident() == self.made:
+            returned.append(1)
+
+real = solver.splu
+solver.splu = lambda *args, **kw: Recording(real(*args, **kw))
+mesh, cfg = meshgen.disk(4), solver.SolverConfig(degree=4, fiber_n=16, eps=0.0, max_iters=1)
+gc.set_threshold(50)
+for _ in range(100):
+    systems = solver.AdmmSolver(mesh, cfg).systems
+    systems.cycle = systems
+del systems
+gc.collect()
+for owner in solver._OWNERS:
+    owner.stop()
+print(len(owned), len(returned))
+held = solver.AdmmSolver(mesh, cfg)         # its owner-made factors live at exit
+"""
+
+
+def test_systems_collected_on_any_thread_release_their_factors():
+    # a finalizer runs on whatever thread a garbage collection runs on, also
+    # inside a submit to the owner it releases to, where a release that
+    # submitted to a ThreadPoolExecutor deadlocked: systems held only by a
+    # reference cycle, collected often while later ones are set up, give
+    # every owner-made factor (L0_ff, L_2 .. L_7) back to its owner, and a
+    # process that exits with owner-made factors alive exits cleanly
+    run = subprocess.run([sys.executable, "-c", _COLLECTED_ANYWHERE % (sys.path,)],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.split() == ["700", "700"]
 
 
 def test_run_leaves_returned_state_alone():
@@ -851,6 +966,44 @@ def test_soft_mask_lambda_field():
     assert mass[inner].sum() < 0.1 * mass.sum()
 
 
+@contextlib.contextmanager
+def _caller_blas_threads(count):
+    """Set every OpenBLAS the solver's pin finds to ``count`` threads; yields
+    the libraries and restores their counts afterwards."""
+    libraries = solver_module._ONE_BLAS_THREAD.libraries()
+    saved = [get() for _, get, _ in libraries]
+    try:
+        for _, _, set_ in libraries:
+            set_(count)
+        yield libraries
+    finally:
+        for (_, _, set_), n in zip(libraries, saved):
+            set_(n)
+
+
+def test_run_holds_openblas_to_one_thread(monkeypatch):
+    # setup and run hold every OpenBLAS to one thread, and the caller's count
+    # is back afterwards
+    if not solver_module._ONE_BLAS_THREAD.libraries():
+        pytest.skip("no OpenBLAS found in this process")
+    seen = []
+    factor, iterate = solver_module._factor_frequency, AdmmSolver.iterate
+
+    def counts():
+        seen.append([get() for _, get, _ in libraries])
+
+    monkeypatch.setattr(solver_module, "_factor_frequency",
+                        lambda *args: counts() or factor(*args))
+    monkeypatch.setattr(AdmmSolver, "iterate", lambda self, state: counts() or iterate(self, state))
+    with _caller_blas_threads(2) as libraries:
+        solver = _solver(meshgen.disk(4), degree=4, eps=0.0, max_iters=3)
+        assert [get() for _, get, _ in libraries] == [2] * len(libraries)
+        solver.run()
+        assert [get() for _, get, _ in libraries] == [2] * len(libraries)
+    assert len(seen) == solver.fd.k_max + 1 + 3
+    assert all(c == [1] * len(libraries) for c in seen), seen
+
+
 def test_determinism_bitwise():
     mesh = meshgen.disk(4, area=1.0)
     cfg = SolverConfig(lam=1.0, degree=4, fiber_n=16, max_iters=60, eps=0.0)
@@ -859,6 +1012,17 @@ def test_determinism_bitwise():
     assert np.array_equal(a.state.sigma_h, b.state.sigma_h)
     assert np.array_equal(a.state.gamma, b.state.gamma)
     assert np.array_equal(a.state.f, b.state.f)
+    assert np.array_equal(a.report.residual_history, b.report.residual_history)
+    # the caller's OpenBLAS thread count changes no result: disk(24), the
+    # smallest disk where it does without the solver's one-thread pin
+    mesh, cfg = meshgen.disk(24, area=1.0), SolverConfig(degree=4, fiber_n=16, max_iters=1, eps=0.0)
+    runs = []
+    for count in (1, 2):
+        with _caller_blas_threads(count):
+            runs.append(run_admm(mesh, cfg))
+    a, b = runs
+    for name in ("sigma_h", "sigma_v", "gamma", "f", "phi"):
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
     assert np.array_equal(a.report.residual_history, b.report.residual_history)
 
 
