@@ -11,16 +11,19 @@ orders the interior vertices for the others), the edge-midpoint Laplacian
 at the first saddle build, all by :func:`spd_lu`. Setup factors the
 first frequency on the calling thread and sends the conforming block and
 every other frequency to ``_OWNERS``, one owner thread per usable core,
-as soon as each block is gathered. scipy's SuperLU frees a factor only on
+as soon as each block is gathered; the first saddle build sends the
+edge-midpoint Laplacian to owner 0. scipy's SuperLU frees a factor only on
 the thread that made it, so an owner's factors live only in that owner's
 box, and the box is emptied on its owner when the systems are collected.
 Every solve runs on the calling thread. The
 penalty-free part of the dense boundary Schur complement comes in closed
 form from the discrete Hodge decomposition of face fields. Every penalty
-change makes one sparse factor, with Laplacian sparsity, reads the rest
-of the Schur complement off its trailing block (:class:`_Factor`) and
-factors that. Only sparse factors and dense blocks with one row per
-boundary edge are stored; saddle solves back-substitute.
+change makes one sparse factor: the penalized edge-midpoint block
+bordered by the boundary rows, a symmetric quasi-definite matrix whose
+trailing block holds the rest of the Schur complement
+(:class:`_Bordered`); it then factors that complement. Only sparse factors
+and dense blocks with one row per boundary edge are stored; saddle solves
+back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner incidence and transport powers
 of :mod:`operators`; the solver builds none of its own.
@@ -76,7 +79,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -244,9 +246,11 @@ def _with_one_blas_thread(fn):
 
 
 def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
-    """Sparse LU of a symmetric (or Hermitian) positive definite matrix, diagonal pivots,
-    symmetric fill-reducing ordering unless ``permc_spec`` names another (:class:`_Factor`:
-    ``NATURAL``). Free a factor on the thread that made it: scipy's SuperLU frees it
+    """Sparse LU of a symmetric (or Hermitian) matrix, diagonal pivots, symmetric
+    fill-reducing ordering unless ``permc_spec`` names another (:class:`_Factor`,
+    :class:`_Bordered`: ``NATURAL``). The matrix is positive definite or, bordered,
+    symmetric quasi-definite (:class:`_Bordered`), so that every diagonal pivot is
+    nonzero. Free a factor on the thread that made it: scipy's SuperLU frees it
     only there, and on any other thread its memory is never returned."""
     return _spd_lu(matrix, permc_spec)
 
@@ -266,10 +270,10 @@ def _factor_frequency(k, L_ii, permc_spec):
         raise RuntimeError("factorization failed at frequency %d: %s" % (k, exc)) from exc
 
 
-def _factor_into(box, k, L_ii, permc_spec):
-    """Owner job: :func:`_factor_frequency` into ``box[k]``. It returns
-    nothing, so that no future holds the factor."""
-    box[k] = _factor_frequency(k, L_ii, permc_spec)
+def _make_into(box, key, make, *args):
+    """Owner job: ``make(*args)`` into ``box[key]``. It returns nothing, so
+    that no future holds the factor."""
+    box[key] = make(*args)
 
 
 def _release(owners, boxes):
@@ -281,38 +285,60 @@ def _release(owners, boxes):
 
 class _Factor:
     """:func:`spd_lu` of SPD ``K`` in the symmetric ``order``; :meth:`solve` works
-    in ``K``'s numbering. Given CSC ``C``, the ``m`` columns it touches (the band)
-    go last, and :meth:`gram` is the dense ``C K^-1 C^T`` without column solves:
-    with ``U_tt`` the trailing ``m x m`` block of ``U`` and ``D`` the diagonal,
-    ``K^-1`` on the band is ``(U_tt^T D^-1 U_tt)^-1``, so the Gram is ``Z^T D Z``,
-    ``Z = U_tt^-T C_band^T``, formed as one symmetric rank-``m`` update of
-    ``D^1/2 Z`` in scipy's BLAS."""
+    in ``K``'s numbering. Owner threads make it."""
 
-    def __init__(self, K, order, C=None):
-        if C is not None:       # the band last, the rest in order
-            order = order[np.argsort(np.diff(C.indptr)[order] > 0, kind="stable")]
-        self.order, self.rank, self.C = order, np.argsort(order), C
-        self.lu = spd_lu(K[order][:, order], permc_spec="NATURAL")
+    def __init__(self, K, order):
+        self.order, self.rank = order, np.argsort(order)
+        self.lu = _spd_lu(K[order][:, order], "NATURAL")
 
     def solve(self, r):
         return self.lu.solve(r[self.order])[self.rank]
 
+
+class _Bordered:
+    """:func:`spd_lu` of the symmetric quasi-definite ``[[A, C^T], [C, -eps I]]``:
+    SPD ``A`` in the symmetric ``order``, the ``m`` rows of ``C`` last, every
+    pivot on the diagonal in that order. Its trailing ``m x m`` block
+    ``T = L_tt U_tt`` is the border's Schur complement ``-eps I - C A^-1 C^T``,
+    so :meth:`gram` is ``C A^-1 C^T`` without column solves. ``eps > 0``, at
+    the scale of that Gram, keeps ``T`` negative definite where ``C`` is
+    rank-deficient and costs only rounding at that scale.
+
+    A solve with border right-hand side 0 has border part ``y`` with
+    ``C A^-1 u = -T y`` (:meth:`c_solve`); a second one with border
+    right-hand side ``-T y`` has border part 0 and gives ``A^-1 u``
+    (:meth:`solve`). Both work in ``A``'s numbering, on a vector or a block
+    of columns."""
+
+    def __init__(self, A, order, C, eps):
+        m, n = C.shape
+        C = C[:, order]
+        K = sp.bmat([[A[order][:, order], C.T], [C, -eps * sp.identity(m)]], format="csc")
+        self.lu = spd_lu(K, permc_spec="NATURAL")
+        natural = np.arange(n + m)
+        if not (np.array_equal(self.lu.perm_r, natural)
+                and np.array_equal(self.lu.perm_c, natural)):
+            raise RuntimeError("bordered factor left its natural order")
+        self.order, self.rank, self.eps = order, np.argsort(order), eps
+        self.T = self.lu.L[:, n:][n:].toarray() @ self.lu.U[:, n:][n:].toarray()
+
     def gram(self):
-        lead = self.lu.shape[0] - np.count_nonzero(np.diff(self.C.indptr))
-        pos = self.lu.perm_c[lead:] - lead
-        if pos.min() < 0 or not np.array_equal(self.lu.perm_r[lead:] - lead, pos):
-            raise RuntimeError("boundary band left the trailing block of its factor")
-        U = self.lu.U.tocsc()[lead:, lead:].toarray()
-        d = np.diag(U)
-        if d.min() <= 0:
-            raise RuntimeError("non-positive pivot on the boundary band of an SPD factor")
-        X = np.empty((len(pos), self.C.shape[0]))
-        X[pos] = self.C[:, self.order[lead:]].T.toarray()
-        Z = sla.solve_triangular(U, X, trans="T", overwrite_b=True)
-        Z *= np.sqrt(d)[:, None]
-        G = dsyrk(1.0, Z, trans=1)          # the upper triangle of Z^T Z
-        G += np.triu(G, 1).T
+        G = -0.5 * (self.T + self.T.T)
+        G[np.diag_indices_from(G)] -= self.eps
         return G
+
+    def _solve(self, u, border):
+        n = len(self.order)
+        out = self.lu.solve(np.concatenate([u[self.order], border]))
+        return out[:n][self.rank], out[n:]
+
+    def c_solve(self, u):
+        """``C A^-1 u``, by one solve."""
+        return -(self.T @ self._solve(u, np.zeros((len(self.T),) + u.shape[1:]))[1])
+
+    def solve(self, u):
+        """``A^-1 u``, by two solves."""
+        return self._solve(u, self.c_solve(u))[0]
 
 
 @dataclass
@@ -534,14 +560,21 @@ class GlobalSystems:
     loop, so the difference ``S0 - nu C2 A^-1 C2^T`` cancels along the unit
     loop indicators ``Q`` in proportion to ``t``; there the product form
     ``mu*ell C2 A^-1 M Lc^-1 C2^T Q`` replaces it, solving one column per
-    loop. ``A``'s Gram ``C2 A^-1 C2^T`` is read off the trailing block of its
-    band-last :class:`_Factor`. The sparse factors are ``L_k`` (k >= 1) and
-    ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the first build, and
-    ``A``, made at every build; ``L0_ff`` and ``L_k`` for k >= 2 are made on
-    the owner threads and read through :meth:`_lu`. The one interior
-    ordering ranks the vertices, the boundary last, and orders the interior
-    edges by (lower, higher) endpoint rank for ``Lc`` and ``A``. Only ``S0``,
-    ``Q``, the sparse factors and the Schur LU of the last build are stored.
+    loop. ``A``'s Gram ``C2 A^-1 C2^T`` is read off the trailing block of the
+    :class:`_Bordered` factor of ``[[A, C2^T], [C2, -eps I]]``, which also
+    serves every ``A`` solve; ``eps`` (:meth:`_border_eps`) bounds that
+    Gram's diagonal, so it keeps the trailing block negative definite where
+    ``C2`` is rank-deficient (as on a fan disk or a rectangle) and
+    adds only rounding at the scale of ``S0``. The sparse factors are ``L_k``
+    (k >= 1) and ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the
+    first build, and the bordered ``A``, made at every build; ``L0_ff``,
+    ``L_k`` for k >= 2 and ``Lc`` are made on the owner threads, ``Lc``
+    while the first bordered factor is made, and read through :meth:`_lu`
+    and :attr:`_lu_lc`. The one interior ordering ranks the vertices, the
+    boundary last, and orders the interior edges by (lower, higher) endpoint
+    rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors, the
+    bordered factor's trailing block and the Schur LU of the last build are
+    stored.
     ``builds``, ``factorizations`` and ``build_seconds`` count the builds and
     their sparse factors and time them.
     """
@@ -565,12 +598,13 @@ class GlobalSystems:
         self.free0 = np.delete(np.arange(n_v), self.pins)
 
         # factors made on owner i live only in self._boxes[i], keyed by frequency
-        # (0: L0_ff), and are released there when the systems are collected
-        owners = _OWNERS
+        # (0: L0_ff) or "lc" (Lc, on owner 0), and are released there when the
+        # systems are collected
+        self._owners = owners = _OWNERS
         self._boxes = [{} for _ in owners]
         weakref.finalize(self, _release, owners, self._boxes)
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        jobs = [owners[0].submit(_factor_into, self._boxes[0], 0,
+        jobs = [owners[0].submit(_make_into, self._boxes[0], 0, _factor_frequency, 0,
                                  L0[self.free0][:, self.free0], "MMD_AT_PLUS_A")]
 
         # every L_k has the vertex pattern: L_1's MMD factor, held, orders the others
@@ -597,7 +631,8 @@ class GlobalSystems:
             L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
             self._freq[k] = (L_ib, self.interior)
             i = k % len(owners)
-            jobs.append(owners[i].submit(_factor_into, self._boxes[i], k, L_ii, "NATURAL"))
+            jobs.append(owners[i].submit(_make_into, self._boxes[i], k,
+                                         _factor_frequency, k, L_ii, "NATURAL"))
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
@@ -605,6 +640,10 @@ class GlobalSystems:
         self._C1 = (B @ ops.fem.gradient).tocsc()       # (n_be, n_v)
         self._C2 = (B @ self._JG).tocsc()               # (n_be, n_ie)
         self._C1f = self._C1[:, self.free0]
+        # bounds on the diagonal of C2 A^-1 C2^T, times nu and times mu*ell
+        w, C2 = np.repeat(ops.fem.face_area, 2), self._C2
+        self._gram_scale = (np.max(B.multiply(B) @ (1.0 / w)),
+                            np.max(C2.multiply(C2) @ (1.0 / ops.cr.mass)))
         wait(jobs)
         for job in jobs:
             job.result()
@@ -612,7 +651,7 @@ class GlobalSystems:
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
-        self._S0 = self._lu_lc = self._lu_a = self._schur = None   # _schur: LU of mu*ell*S
+        self._S0 = self._lu_a = self._schur = None      # _schur: LU of mu*ell*S
         self._mu = self._nu = None
         self.builds = self.factorizations = 0
         self.build_seconds = 0.0
@@ -624,16 +663,21 @@ class GlobalSystems:
         t0 = time.perf_counter()
         mu_ell = mu * self.fd.length
         cr, C2, Q = self.ops.cr, self._C2, self._Q
-        if self._lu_lc is None:
-            self._lu_lc = _Factor(cr.laplacian, self._edge_order)
+        first = self._S0 is None
+        if first:                   # Lc on owner 0, while A's bordered factor is made here
+            lc = self._owners[0].submit(_make_into, self._boxes[0], "lc",
+                                        _Factor, cr.laplacian, self._edge_order)
             self.factorizations += 1
-            self._S0 = self._hodge_s0()
         self._lu_a = self._schur = None     # released before their successors are made
-        self._lu_a = _Factor(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2)
+        self._lu_a = _Bordered(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2,
+                               self._border_eps(mu_ell, nu))
         self.factorizations += 1
+        if first:
+            lc.result()
+            self._S0 = self._hodge_s0()
         S = self._S0 - nu * self._lu_a.gram()
         # the difference cancels along the loops; there SQ, in product form, replaces it
-        SQ = mu_ell * (C2 @ self._solve_k2(C2.T @ Q))
+        SQ = mu_ell * self._lu_a.c_solve(self._mass_lc(C2.T @ Q))
         S -= Q @ (Q.T @ S)
         S -= (S @ Q) @ Q.T
         S += SQ @ Q.T + Q @ (SQ.T - (Q.T @ SQ) @ Q.T)
@@ -645,6 +689,13 @@ class GlobalSystems:
         self._mu, self._nu = mu, nu
         self.builds += 1
         self.build_seconds += time.perf_counter() - t0
+
+    def _border_eps(self, mu_ell, nu):
+        """``eps`` of A's bordered factor: the smaller of the two bounds on the
+        diagonal of ``C2 A^-1 C2^T``, from ``A >= nu Lc`` (``nu C2 A^-1 C2^T <= S0
+        <= B W^-1 B^T``) and from ``A >= mu*ell M``."""
+        by_nu, by_mu = self._gram_scale
+        return min(by_nu / nu, by_mu / mu_ell)
 
     def _hodge_s0(self):
         """``S0 = B W^-1 B^T - (B Y)(Y^T W Y)^-1 (B Y)^T``, ``Y`` a basis of the
@@ -673,9 +724,15 @@ class GlobalSystems:
         """The factor of frequency ``k``'s interior block; ``k = 0``: ``L0_ff``."""
         return self._lu_1 if k == 1 else self._boxes[k % len(self._boxes)][k]
 
-    def _solve_k2(self, r):
-        """``K2^-1 r = A^-1 M Lc^-1 r`` for a vector or a block of columns ``r``."""
-        return self._lu_a.solve((self.ops.cr.mass * self._lu_lc.solve(r).T).T)
+    @property
+    def _lu_lc(self):
+        """``Lc``'s :class:`_Factor`, made and held on owner 0 from the first build."""
+        return self._boxes[0]["lc"]
+
+    def _mass_lc(self, r):
+        """``M Lc^-1 r``, so that ``K2^-1 r = A^-1 M Lc^-1 r``, for a vector or a
+        block of columns ``r``."""
+        return (self.ops.cr.mass * self._lu_lc.solve(r).T).T
 
     def solve_frequency(self, k, rhs):
         """Solve the frequency-``k`` system with pinned boundary values."""
@@ -700,10 +757,11 @@ class GlobalSystems:
             return lu0.solve(r) / mu_ell
 
         r1 = rhs1[self.free0]
-        beta = mu_ell * sla.lu_solve(self._schur, C1f @ solve1(r1) + C2 @ self._solve_k2(rhs2) - g0)
+        beta = mu_ell * sla.lu_solve(self._schur, C1f @ solve1(r1)
+                                     + self._lu_a.c_solve(self._mass_lc(rhs2)) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
         f0[self.free0] = solve1(r1 - C1f.T @ beta)
-        phi = self._solve_k2(rhs2 - C2.T @ beta)
+        phi = self._lu_a.solve(self._mass_lc(rhs2 - C2.T @ beta))
         return f0, phi, beta
 
     def kkt_residual(self, f0, phi, beta, rhs1, rhs2, g0):

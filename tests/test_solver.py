@@ -18,7 +18,7 @@ from minsec.cli import main
 from minsec.extract import extract_singularities
 from minsec.mesh import build_transport
 from minsec.operators import assemble_frequency_laplacian
-from minsec.solver import (AdmmSolver, SolverConfig, _Factor, _local_step_sigma, _metric_sq,
+from minsec.solver import (AdmmSolver, SolverConfig, _Bordered, _local_step_sigma, _metric_sq,
                            adapt_penalty, init_state, local_step_gamma, local_step_sigma,
                            run_admm, spd_lu)
 from oracles import fejer_delta, scatter_corners
@@ -177,11 +177,14 @@ def test_kkt_residual_every_iteration():
         assert solver.systems.kkt_residual(f0, phi, beta, rhs1, rhs2, solver._g0) <= 1e-9
 
 
-@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4)],
-                         ids=["disk", "annulus"])
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.fan_disk(12),
+                                  meshgen.rectangle(6, 5)],
+                         ids=["disk", "annulus", "fan", "rectangle"])
 def test_saddle_refactor_penalty_pairs(mesh):
     # the split edge-midpoint factors must solve the full saddle system at
-    # any penalty pair, lopsided ones included, and on several loops
+    # any penalty pair, lopsided ones included, on several loops, and where
+    # the boundary rows C2 are rank-deficient (fan disk: rank n - 1;
+    # rectangle(6, 5): rank 14 of 18)
     solver = _solver(mesh, degree=4)
     systems = solver.systems
     rng = np.random.default_rng(3)
@@ -223,16 +226,19 @@ def test_saddle_build_memory_below_one_tall_block():
 
 
 def _gram_pairs(systems):
-    """(matrix, ordering, C) triples of band-last Grams: ``A`` (which has the
+    """(matrix, ordering, C, eps) of bordered Grams: ``A`` (which has the
     pattern of ``Lc``), whose Gram enters the Schur complement, at three
-    ``t``, and on other bands ``L0_ff`` in the vertex ranks and ``Lc``, both
-    in the orders a build would give them."""
+    ``t`` with the build's ``eps``, and on other borders ``L0_ff`` in the
+    vertex ranks and ``Lc``, both in the orders a build would give them,
+    with the bound ``B W^-1 B^T`` on their Grams' diagonals as ``eps``."""
     cr, C2, edges = systems.ops.cr, systems._C2, systems._edge_order
     L0_ff = systems._L0[systems.free0][:, systems.free0]
     rank = np.argsort(np.concatenate([systems.interior, systems.b_vertices]))
-    pairs = [(L0_ff, np.argsort(rank[systems.free0]), systems._C1f), (cr.laplacian, edges, C2)]
+    eps = systems._gram_scale[0]
+    pairs = [(L0_ff, np.argsort(rank[systems.free0]), systems._C1f, eps),
+             (cr.laplacian, edges, C2, eps)]
     for t in (2.0 ** -20, 1.0, 2.0 ** 20):
-        pairs.append((cr.shifted_laplacian(t, 1.0), edges, C2))
+        pairs.append((cr.shifted_laplacian(t, 1.0), edges, C2, systems._border_eps(t, 1.0)))
     return pairs
 
 
@@ -240,12 +246,31 @@ def _gram_pairs(systems):
                                   meshgen.fan_disk(12)],
                          ids=["disk", "annulus", "cap", "fan"])
 def test_gram_matches_column_solves(mesh):
-    # the trailing-block Gram against the column-solve form; the band is on
-    # two loops on the annulus and is every interior edge on the fan disk
-    for K, order, C in _gram_pairs(_solver(mesh, degree=4).systems):
+    # the trailing-block Gram of the bordered factor against the column-solve
+    # form; the border is on two loops on the annulus and touches every
+    # interior edge on the fan disk
+    for K, order, C, eps in _gram_pairs(_solver(mesh, degree=4).systems):
         oracle = C @ spd_lu(K).solve(C.T.toarray())
-        G = _Factor(K, order, C).gram()
+        G = _Bordered(K, order, C, eps).gram()
         assert np.abs(G - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("mesh", [meshgen.fan_disk(12), meshgen.rectangle(6, 5)],
+                         ids=["fan", "rectangle"])
+def test_bordered_factor_keeps_diagonal_pivots(mesh):
+    # with C2 rank-deficient, C2 A^-1 C2^T is singular; eps > 0 keeps the
+    # trailing block negative definite, so every pivot stays on the diagonal
+    # in the natural order: positive on A, negative on the border
+    systems = _solver(mesh, degree=4).systems
+    n = len(mesh.interior_edges)
+    assert np.linalg.matrix_rank(systems._C2.toarray()) < systems._C2.shape[0]
+    for mu, nu in [(1.0, 1.0), (2.0 ** 12, 2.0 ** -12), (2.0 ** -20, 1.0), (2.0 ** -3, 2.0 ** 5)]:
+        systems.refactor(mu, nu)
+        lu = systems._lu_a.lu
+        natural = np.arange(lu.shape[0])
+        assert np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)
+        pivots = lu.U.diagonal()
+        assert pivots[:n].min() > 0 and pivots[n:].max() < 0
 
 
 @pytest.mark.parametrize("mesh, parts, harmonic, iterations", [
@@ -302,13 +327,14 @@ def test_first_frequency_ordering_equals_real_l0(mesh):
 
 
 def test_gram_rejects_band_outside_trailing_block(monkeypatch):
-    # a factor that reorders the band away from the end must not yield a block
+    # a factor that reorders the border rows away from the end must not
+    # yield a block
     systems = _solver(meshgen.disk(5), degree=4).systems
-    K, order, C = _gram_pairs(systems)[1]
+    K, order, C, eps = _gram_pairs(systems)[1]
     monkeypatch.setattr(solver_module, "spd_lu", lambda matrix, permc_spec=None:
                         spd_lu(matrix, permc_spec="COLAMD"))
-    with pytest.raises(RuntimeError, match="trailing block"):
-        _Factor(K, order, C).gram()
+    with pytest.raises(RuntimeError, match="natural order"):
+        _Bordered(K, order, C, eps).gram()
 
 
 def test_saddle_build_factors_a_once(monkeypatch):
@@ -331,8 +357,10 @@ def test_saddle_build_factors_a_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4)], ids=["disk", "annulus"])
-def test_band_last_a_solves_match_mmd_factor(mesh):
-    # the held A factor orders the band last; its solves match an MMD factor's
+def test_bordered_a_solves_match_mmd_factor(mesh):
+    # A's solves through the held bordered factor (two solves, the second
+    # with the border right-hand side that zeroes the border part) match an
+    # MMD factor's
     systems = _solver(mesh, degree=4).systems
     cr = systems.ops.cr
     rng = np.random.default_rng(5)
@@ -637,9 +665,9 @@ def _record_factors(monkeypatch):
 def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     # scipy's SuperLU frees a factor only on the thread that made it: setup
     # sends L0_ff and the frequency blocks k >= 2 to the owner threads (here
-    # more owners than cores, switching threads often), which free them once
-    # the solver is collected; the k = 1 block, Lc and every A are made and
-    # freed on the main thread
+    # more owners than cores, switching threads often), and so does the first
+    # build with Lc; the owners free them once the solver is collected. The
+    # k = 1 block and every bordered A are made and freed on the main thread
     mesh, fiber_n, chunk_faces = CHUNKED[0]
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
@@ -666,7 +694,7 @@ def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     assert all(r["freed"] == r["made"] for r in records), records
     off_main = [r for r in records if r["made"] != main]
     assert sum(r["complex"] for r in off_main) == K - 1
-    assert sum(not r["complex"] for r in off_main) == 1      # L0_ff
+    assert sum(not r["complex"] for r in off_main) == 2      # L0_ff and Lc
     assert len({r["made"] for r in off_main}) == len(owners)
 
 
