@@ -6,24 +6,16 @@ edges (local step), dual ascent, residuals, and adaptive penalties.
 Corner samples and the one-sided vertical coefficients meet only through
 the transform pair :func:`bundle._forward` and :func:`bundle._inverse`.
 The per-frequency systems and the conforming frequency-zero block are
-factored when the solver is built (the first frequency's factor also
-orders the interior vertices for the others), the edge-midpoint Laplacian
-at the first saddle build, all by :func:`spd_lu`. Setup factors the
-first frequency on the calling thread and sends the conforming block and
-every other frequency to ``_OWNERS``, one owner thread per usable core,
-as soon as each block is gathered; the first saddle build sends the
-edge-midpoint Laplacian to owner 0. scipy's SuperLU frees a factor only on
-the thread that made it, so an owner's factors live only in that owner's
-box, and the box is emptied on its owner when the systems are collected.
-Every solve runs on the calling thread. The
-penalty-free part of the dense boundary Schur complement comes in closed
-form from the discrete Hodge decomposition of face fields. Every penalty
-change makes one sparse factor: the penalized edge-midpoint block
-bordered by the boundary rows, a symmetric quasi-definite matrix whose
-trailing block holds the rest of the Schur complement
-(:class:`_Bordered`); it then factors that complement. Only sparse factors
-and dense blocks with one row per boundary edge are stored; saddle solves
-back-substitute.
+factored when the solver is built (the first frequency's factor also orders
+the interior vertices for the others), the edge-midpoint Laplacian at the
+first saddle build, all by :func:`spd_lu`. The penalty-free part of the
+dense boundary Schur complement comes in closed form from the discrete
+Hodge decomposition of face fields. Every penalty change makes one sparse
+factor: the penalized edge-midpoint block bordered by the boundary rows, a
+symmetric quasi-definite matrix whose trailing block holds the rest of the
+Schur complement (:class:`_Bordered`); it then factors that complement.
+Only sparse factors and dense blocks with one row per boundary edge are
+stored; saddle solves back-substitute.
 The right-hand sides, boundary coupling rows and reconstruction use the
 gradient and circulation matrices, corner incidence and transport powers
 of :mod:`operators`; the solver builds none of its own.
@@ -36,18 +28,19 @@ two sample residuals and the sample mass. A chunk holds as many whole
 faces as fit in ``_CHUNK_SAMPLES`` corner-fiber samples (at least one),
 so the chunk bounds and the order in which partial sums are added depend
 on the mesh and ``fiber_n`` only: results are bitwise the same however
-many threads run the chunks. A one-chunk mesh runs them inline; otherwise
-they go to a module-level thread pool of at most one thread per usable
-core (numpy releases the GIL in its array loops). Worker threads call no
-public function or method of the package: the span tracing of
-``perfbench`` keeps one span stack for all threads, so every traced call
-must come from the main thread. The owners, too, run only private
-functions; the sparse solves and the penalty logic stay on the main
-thread. While the solver is built and while :meth:`AdmmSolver.run` runs,
+many threads run the chunks. ``_OWNERS``, one thread per usable core, are
+the package's only worker threads: chunk ``i`` runs on owner ``i mod n``
+(numpy releases the GIL in its array loops), and every sparse factor is
+made, held and freed on an owner, since scipy's SuperLU frees a factor only
+on the thread that made it (:class:`GlobalSystems`). The main thread makes
+no factor and runs no chunk; it sends the jobs, waits for them, solves and
+adapts the penalties. Owners call no public function or method of the
+package: the span tracing of ``perfbench`` keeps one span stack for all
+threads. While the solver is built and while :meth:`AdmmSolver.run` runs,
 every OpenBLAS loaded in the process is held to one thread and the
-caller's thread counts are restored afterwards (``_ONE_BLAS_THREAD``):
-idle OpenBLAS threads busy-wait and take cores from these threads, and a
-threaded BLAS call sums in an order that depends on the thread count.
+caller's counts are restored afterwards (``_ONE_BLAS_THREAD``): idle
+OpenBLAS threads busy-wait and take cores from the owners, and a threaded
+BLAS call sums in an order that depends on the thread count.
 
 The sweeps update the state's four sample arrays (``sigma_h``,
 ``sigma_v``, ``w_h``, ``w_v``) in place. The duals are overwritten where
@@ -73,7 +66,7 @@ import queue
 import threading
 import time
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,19 +96,15 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-#: Runs the chunks of multi-chunk sweeps; threads start as chunks are submitted.
-_POOL = ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="minsec-sweep")
-
-
 class _Owner:
     """One daemon thread that runs the jobs given to it one at a time, in
     order: :meth:`submit` returns a future, :meth:`post` nothing.
 
     :meth:`post` only puts to a ``queue.SimpleQueue``, whose ``put`` is
     reentrant, so a finalizer may call it from whatever thread a garbage
-    collection runs on. ``ThreadPoolExecutor.submit`` may not: it takes
-    locks that a submit interrupted by that collection already holds, and a
-    finalizer that submits from there deadlocks."""
+    collection runs on. The ``submit`` of the standard library's thread pool
+    may not: it takes locks that a submit interrupted by that collection
+    already holds, and a finalizer that submits from there deadlocks."""
 
     def __init__(self):
         self._jobs = queue.SimpleQueue()
@@ -125,7 +114,7 @@ class _Owner:
     def submit(self, fn, *args):
         with self._lock:
             if self._thread is None or not self._thread.is_alive():    # first use, or after a fork
-                self._thread = threading.Thread(target=self._serve, name="minsec-factor",
+                self._thread = threading.Thread(target=self._serve, name="minsec-owner",
                                                 daemon=True)
                 self._thread.start()
         future = Future()
@@ -160,10 +149,16 @@ def _settle(future, fn, args):
         future.set_exception(exc)
 
 
-#: One owner per usable core. Owner ``i`` makes, holds and frees the factors
-#: sent to it: scipy's SuperLU frees a factor only on the thread that made it.
-#: They stop at interpreter exit: a factor still held then is freed in the
-#: interpreter's teardown, which fails while the thread that made it lives.
+def _results(jobs):
+    """The futures' results in order, once none is running; the first failure raises."""
+    wait(jobs)
+    return [job.result() for job in jobs]
+
+
+#: One owner per usable core, the only worker threads: owner ``i`` runs sweep
+#: chunks and makes, holds and frees the factors sent to it. They stop at
+#: interpreter exit: a factor still held then is freed in the interpreter's
+#: teardown, which fails while the thread that made it lives.
 _OWNERS = [_Owner() for _ in range(_usable_cores())]
 atexit.register(lambda: [owner.stop() for owner in _OWNERS])
 
@@ -251,7 +246,8 @@ def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     :class:`_Bordered`: ``NATURAL``). The matrix is positive definite or, bordered,
     symmetric quasi-definite (:class:`_Bordered`), so that every diagonal pivot is
     nonzero. Free a factor on the thread that made it: scipy's SuperLU frees it
-    only there, and on any other thread its memory is never returned."""
+    only there, and on any other thread its memory is never returned; the solver
+    makes its own on its owner threads."""
     return _spd_lu(matrix, permc_spec)
 
 
@@ -271,8 +267,9 @@ def _factor_frequency(k, L_ii, permc_spec):
 
 
 def _make_into(box, key, make, *args):
-    """Owner job: ``make(*args)`` into ``box[key]``. It returns nothing, so
-    that no future holds the factor."""
+    """Owner job: drops ``box[key]``, then ``make(*args)`` into it. It returns
+    nothing, so that no future holds the factor."""
+    box.pop(key, None)
     box[key] = make(*args)
 
 
@@ -308,13 +305,13 @@ class _Bordered:
     ``C A^-1 u = -T y`` (:meth:`c_solve`); a second one with border
     right-hand side ``-T y`` has border part 0 and gives ``A^-1 u``
     (:meth:`solve`). Both work in ``A``'s numbering, on a vector or a block
-    of columns."""
+    of columns. Owner threads make it."""
 
     def __init__(self, A, order, C, eps):
         m, n = C.shape
         C = C[:, order]
         K = sp.bmat([[A[order][:, order], C.T], [C, -eps * sp.identity(m)]], format="csc")
-        self.lu = spd_lu(K, permc_spec="NATURAL")
+        self.lu = _spd_lu(K, "NATURAL")
         natural = np.arange(n + m)
         if not (np.array_equal(self.lu.perm_r, natural)
                 and np.array_equal(self.lu.perm_c, natural)):
@@ -567,14 +564,14 @@ class GlobalSystems:
     ``C2`` is rank-deficient (as on a fan disk or a rectangle) and
     adds only rounding at the scale of ``S0``. The sparse factors are ``L_k``
     (k >= 1) and ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the
-    first build, and the bordered ``A``, made at every build; ``L0_ff``,
-    ``L_k`` for k >= 2 and ``Lc`` are made on the owner threads, ``Lc``
-    while the first bordered factor is made, and read through :meth:`_lu`
-    and :attr:`_lu_lc`. The one interior ordering ranks the vertices, the
-    boundary last, and orders the interior edges by (lower, higher) endpoint
-    rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors, the
-    bordered factor's trailing block and the Schur LU of the last build are
-    stored.
+    first build, and the bordered ``A``, made at every build beside the first
+    ``Lc``. Each is made, held and freed by an owner thread (:meth:`_make`) and
+    read through :meth:`_lu`, :attr:`_lu_lc` and :attr:`_lu_a`; the calling
+    thread only waits for them. The one interior ordering ranks the vertices,
+    the boundary last, and orders the interior edges by (lower, higher)
+    endpoint rank for ``Lc`` and ``A``. Only ``S0``, ``Q``, the sparse factors,
+    the bordered factor's trailing block and the Schur LU of the last build
+    are stored.
     ``builds``, ``factorizations`` and ``build_seconds`` count the builds and
     their sparse factors and time them.
     """
@@ -598,20 +595,21 @@ class GlobalSystems:
         self.free0 = np.delete(np.arange(n_v), self.pins)
 
         # factors made on owner i live only in self._boxes[i], keyed by frequency
-        # (0: L0_ff) or "lc" (Lc, on owner 0), and are released there when the
-        # systems are collected
+        # k (0: L0_ff) on owner k mod n, "lc" (Lc) on owner 0 or "a" (the
+        # bordered A) on owner 1 mod n, and are released there when the systems
+        # are collected
         self._owners = owners = _OWNERS
         self._boxes = [{} for _ in owners]
         weakref.finalize(self, _release, owners, self._boxes)
         self._L0 = L0 = ops.laplacian(0).real.tocsc()
-        jobs = [owners[0].submit(_make_into, self._boxes[0], 0, _factor_frequency, 0,
-                                 L0[self.free0][:, self.free0], "MMD_AT_PLUS_A")]
+        jobs = [self._make(0, 0, _factor_frequency, 0, L0[self.free0][:, self.free0],
+                           "MMD_AT_PLUS_A")]
 
         # every L_k has the vertex pattern: L_1's MMD factor, held, orders the others
         natural = self.interior
         L_1 = ops.laplacian(1)[natural]
-        self._lu_1 = _factor_frequency(1, L_1[:, natural], "MMD_AT_PLUS_A")
-        self.interior = natural[np.argsort(self._lu_1.perm_c)]
+        self._make(1, 1, _factor_frequency, 1, L_1[:, natural], "MMD_AT_PLUS_A").result()
+        self.interior = natural[np.argsort(self._lu(1).perm_c)]
         rank = np.argsort(np.concatenate([self.interior, self.b_vertices]))
         ends = np.sort(rank[mesh.edges[mesh.interior_edges]], axis=1)
         self._edge_order = np.lexsort(ends.T[::-1])         # by lower, then higher rank
@@ -630,9 +628,7 @@ class GlobalSystems:
             data = ops.laplacian(k).data
             L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
             self._freq[k] = (L_ib, self.interior)
-            i = k % len(owners)
-            jobs.append(owners[i].submit(_make_into, self._boxes[i], k,
-                                         _factor_frequency, k, L_ii, "NATURAL"))
+            jobs.append(self._make(k, k, _factor_frequency, k, L_ii, "NATURAL"))
 
         B = ops.boundary
         J = sp.kron(sp.identity(len(mesh.triangles)), [[0.0, -1.0], [1.0, 0.0]])
@@ -644,15 +640,12 @@ class GlobalSystems:
         w, C2 = np.repeat(ops.fem.face_area, 2), self._C2
         self._gram_scale = (np.max(B.multiply(B) @ (1.0 / w)),
                             np.max(C2.multiply(C2) @ (1.0 / ops.cr.mass)))
-        wait(jobs)
-        for job in jobs:
-            job.result()
+        _results(jobs)
 
         # unit loop indicators, in boundary_halfedges row order
         self._Q = sla.block_diag(*[np.full((len(loop), 1), len(loop) ** -0.5)
                                    for loop in mesh.boundary_loops])
-        self._S0 = self._lu_a = self._schur = None      # _schur: LU of mu*ell*S
-        self._mu = self._nu = None
+        self._S0 = self._schur = self._mu = self._nu = None     # _schur: LU of mu*ell*S
         self.builds = self.factorizations = 0
         self.build_seconds = 0.0
 
@@ -663,17 +656,15 @@ class GlobalSystems:
         t0 = time.perf_counter()
         mu_ell = mu * self.fd.length
         cr, C2, Q = self.ops.cr, self._C2, self._Q
-        first = self._S0 is None
-        if first:                   # Lc on owner 0, while A's bordered factor is made here
-            lc = self._owners[0].submit(_make_into, self._boxes[0], "lc",
-                                        _Factor, cr.laplacian, self._edge_order)
-            self.factorizations += 1
-        self._lu_a = self._schur = None     # released before their successors are made
-        self._lu_a = _Bordered(cr.shifted_laplacian(mu_ell, nu), self._edge_order, C2,
-                               self._border_eps(mu_ell, nu))
-        self.factorizations += 1
-        if first:
-            lc.result()
+        self._schur = None          # released before its successor is made
+        # A's bordered factor, and at the first build Lc beside it on owner 0
+        jobs = [self._make(1, "a", _Bordered, cr.shifted_laplacian(mu_ell, nu),
+                           self._edge_order, C2, self._border_eps(mu_ell, nu))]
+        if self._S0 is None:
+            jobs.append(self._make(0, "lc", _Factor, cr.laplacian, self._edge_order))
+        self.factorizations += len(jobs)
+        _results(jobs)
+        if self._S0 is None:
             self._S0 = self._hodge_s0()
         S = self._S0 - nu * self._lu_a.gram()
         # the difference cancels along the loops; there SQ, in product form, replaces it
@@ -720,14 +711,24 @@ class GlobalSystems:
         V = B @ (np.linalg.qr(root * Y)[0] / root)
         return S0 - V @ V.T
 
+    def _make(self, i, key, make, *args):
+        """``make(*args)`` on owner ``i mod n``, into its box under ``key``; a future."""
+        i %= len(self._owners)
+        return self._owners[i].submit(_make_into, self._boxes[i], key, make, *args)
+
     def _lu(self, k):
         """The factor of frequency ``k``'s interior block; ``k = 0``: ``L0_ff``."""
-        return self._lu_1 if k == 1 else self._boxes[k % len(self._boxes)][k]
+        return self._boxes[k % len(self._boxes)][k]
 
     @property
     def _lu_lc(self):
         """``Lc``'s :class:`_Factor`, made and held on owner 0 from the first build."""
         return self._boxes[0]["lc"]
+
+    @property
+    def _lu_a(self):
+        """The last build's :class:`_Bordered` factor, made and held on owner ``1 mod n``."""
+        return self._boxes[1 % len(self._boxes)]["a"]
 
     def _mass_lc(self, r):
         """``M Lc^-1 r``, so that ``K2^-1 r = A^-1 M Lc^-1 r``, for a vector or a
@@ -751,17 +752,17 @@ class GlobalSystems:
         operator, coupled by the boundary circulation rows equal to ``g0``.
         """
         mu_ell = self._mu * self.fd.length
-        C1f, C2, lu0 = self._C1f, self._C2, self._lu(0)
+        C1f, C2, lu0, lu_a = self._C1f, self._C2, self._lu(0), self._lu_a
 
         def solve1(r):                                  # (mu*ell*L0_ff)^{-1} r
             return lu0.solve(r) / mu_ell
 
         r1 = rhs1[self.free0]
         beta = mu_ell * sla.lu_solve(self._schur, C1f @ solve1(r1)
-                                     + self._lu_a.c_solve(self._mass_lc(rhs2)) - g0)
+                                     + lu_a.c_solve(self._mass_lc(rhs2)) - g0)
         f0 = np.zeros(len(self.ops.mesh.vertices))
         f0[self.free0] = solve1(r1 - C1f.T @ beta)
-        phi = self._lu_a.solve(self._mass_lc(rhs2 - C2.T @ beta))
+        phi = lu_a.solve(self._mass_lc(rhs2 - C2.T @ beta))
         return f0, phi, beta
 
     def kkt_residual(self, f0, phi, beta, rhs1, rhs2, g0):
@@ -823,12 +824,11 @@ class AdmmSolver:
     # -- the face-chunk sweeps ---------------------------------------------
 
     def _map(self, kernel, *args):
-        """``kernel(faces, *args)`` for every face chunk; the results in chunk order."""
-        if len(self._chunks) == 1:
-            return [kernel(self._chunks[0], *args)]
-        jobs = [_POOL.submit(kernel, faces, *args) for faces in self._chunks]
-        wait(jobs)          # no chunk is still running when one has failed
-        return [job.result() for job in jobs]
+        """``kernel(faces, *args)`` for every face chunk, chunk ``i`` on owner
+        ``i mod n``; the results in chunk order."""
+        owners = self.systems._owners
+        return _results([owners[i % len(owners)].submit(kernel, faces, *args)
+                         for i, faces in enumerate(self._chunks)])
 
     def _rhs_chunk(self, faces, state):
         """Pre-solve sweep of one chunk: the conjugate-transported per-corner
@@ -997,8 +997,7 @@ class AdmmSolver:
         cfg = self.config
         state = init_state(self.ops, self.fd, self.kappa_bar)
         report = ConvergenceReport()
-        history = []
-        objective = []
+        history, objective = [], []
         self._phase_times = dict.fromkeys(self._phase_times, 0.0)
         sys0 = self.systems.builds, self.systems.factorizations, self.systems.build_seconds
         t_start = time.perf_counter()

@@ -331,8 +331,8 @@ def test_gram_rejects_band_outside_trailing_block(monkeypatch):
     # yield a block
     systems = _solver(meshgen.disk(5), degree=4).systems
     K, order, C, eps = _gram_pairs(systems)[1]
-    monkeypatch.setattr(solver_module, "spd_lu", lambda matrix, permc_spec=None:
-                        spd_lu(matrix, permc_spec="COLAMD"))
+    real = solver_module._spd_lu
+    monkeypatch.setattr(solver_module, "_spd_lu", lambda matrix, permc_spec: real(matrix, "COLAMD"))
     with pytest.raises(RuntimeError, match="natural order"):
         _Bordered(K, order, C, eps).gram()
 
@@ -542,13 +542,19 @@ def test_in_place_sweep_matches_reference(mesh, mu0, chunk_faces, monkeypatch):
     assert len(mus) >= 3
 
 
-class _InlineExecutor(concurrent.futures.Executor):
-    """Runs every submitted call at once, in the submitting thread."""
+class _InlineOwner:
+    """An owner that runs every job at once, in the thread that gives it."""
 
-    def submit(self, fn, *args, **kwargs):
+    def submit(self, fn, *args):
         future = concurrent.futures.Future()
-        future.set_result(fn(*args, **kwargs))
+        future.set_result(fn(*args))
         return future
+
+    def post(self, fn, *args):
+        fn(*args)
+
+    def stop(self):
+        pass
 
 
 # meshes that the patched chunk size splits into several sweep chunks
@@ -558,19 +564,23 @@ CHUNKED = [(meshgen.disk(8), 64, 50), (meshgen.annulus(6), 16, 100)]
 @pytest.mark.parametrize("mesh, fiber_n, chunk_faces", CHUNKED, ids=["disk8-n64", "annulus6-n16"])
 def test_sweep_same_inline_and_pooled(mesh, fiber_n, chunk_faces, monkeypatch):
     # the chunk bounds and the order of the partial sums do not depend on
-    # how many threads run the chunks; more workers than cores, switching
-    # threads often, would expose a chunk writing outside its own faces
+    # how many threads run the chunks and make the factors; more owners than
+    # cores, switching threads often, would expose a chunk writing outside
+    # its own faces
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
     results = []
     switch = sys.getswitchinterval()
     try:
-        for pool in (_InlineExecutor(), concurrent.futures.ThreadPoolExecutor(max_workers=3)):
-            monkeypatch.setattr(solver_module, "_POOL", pool)
+        for owners in ([_InlineOwner()], [solver_module._Owner() for _ in range(3)]):
+            monkeypatch.setattr(solver_module, "_OWNERS", owners)
             solver = _solver(mesh, degree=4, fiber_n=fiber_n, eps=0.0, max_iters=40)
             assert len(solver._chunks) >= 6
             sys.setswitchinterval(1e-5)
             results.append(solver.run())
-            pool.shutdown()
+            del solver
+            gc.collect()
+            for owner in owners:        # an owner's release runs before it stops
+                owner.stop()
     finally:
         sys.setswitchinterval(switch)
     a, b = results
@@ -600,8 +610,8 @@ def test_workers_call_no_public_function(monkeypatch):
     # thread it runs on; a multi-chunk solve calls them on the main thread only
     mesh, fiber_n, chunk_faces = CHUNKED[0]
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
-    monkeypatch.setattr(solver_module, "_POOL", pool)
+    owners = [solver_module._Owner() for _ in range(3)]
+    monkeypatch.setattr(solver_module, "_OWNERS", owners)
     threads = {}
 
     def recording(name, fn):
@@ -631,7 +641,9 @@ def test_workers_call_no_public_function(monkeypatch):
                         recording("_sweep_chunk", sweep))
 
     solver_module.run_admm(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=5))
-    pool.shutdown()
+    gc.collect()
+    for owner in owners:
+        owner.stop()
     main = threading.get_ident()
     assert {"solver.run_admm", "AdmmSolver.iterate", "OperatorSet.cr_face_gradient",
             "FiberDiscretization.k_max"} <= set(threads)
@@ -664,14 +676,13 @@ def _record_factors(monkeypatch):
 
 def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     # scipy's SuperLU frees a factor only on the thread that made it: setup
-    # sends L0_ff and the frequency blocks k >= 2 to the owner threads (here
-    # more owners than cores, switching threads often), and so does the first
-    # build with Lc; the owners free them once the solver is collected. The
-    # k = 1 block and every bordered A are made and freed on the main thread
+    # sends L0_ff and every frequency block to the owner threads (here more
+    # owners than cores, switching threads often), and every build sends its
+    # bordered A, the first one Lc too; the owner of A drops the old one
+    # before it makes the next, and the owners free the rest once the solver
+    # is collected. The main thread makes no factor
     mesh, fiber_n, chunk_faces = CHUNKED[0]
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
-    monkeypatch.setattr(solver_module, "_POOL", pool)
     owners = [solver_module._Owner() for _ in range(3)]
     monkeypatch.setattr(solver_module, "_OWNERS", owners)
     records = _record_factors(monkeypatch)
@@ -684,18 +695,43 @@ def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
         assert len(solver._chunks) >= 6 and report.saddle_builds >= 2
         del solver
         gc.collect()
-        pool.shutdown()
         for owner in owners:                # an owner's release runs before it stops
             owner.stop()
     finally:
         sys.setswitchinterval(switch)
-    main = threading.get_ident()
     assert len(records) == K + 2 + report.saddle_builds      # L_k, L0_ff, Lc and each A
     assert all(r["freed"] == r["made"] for r in records), records
-    off_main = [r for r in records if r["made"] != main]
-    assert sum(r["complex"] for r in off_main) == K - 1
-    assert sum(not r["complex"] for r in off_main) == 2      # L0_ff and Lc
-    assert len({r["made"] for r in off_main}) == len(owners)
+    assert threading.get_ident() not in {r["made"] for r in records}
+    assert sum(r["complex"] for r in records) == K
+    assert len({r["made"] for r in records}) == len(owners)
+
+
+def test_multi_chunk_solve_starts_only_the_owners(monkeypatch):
+    # the owners are the only worker threads: a multi-chunk solve runs its
+    # chunks on them and starts no other thread, and the process holds at
+    # most one minsec thread per usable core
+    mesh, fiber_n, chunk_faces = CHUNKED[0]
+    monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
+    cfg = SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=3)
+    run_admm(mesh, cfg)
+    minsec = [t for t in threading.enumerate() if t.name.startswith("minsec")]
+    assert 0 < len(minsec) <= solver_module._usable_cores()
+    owners = [solver_module._Owner() for _ in range(3)]
+    monkeypatch.setattr(solver_module, "_OWNERS", owners)
+    started, chunks = [], set()
+    start, sweep = threading.Thread.start, AdmmSolver._sweep_chunk
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(AdmmSolver, "_sweep_chunk", lambda self, *args: chunks.add(
+        threading.current_thread()) or sweep(self, *args))
+    solver = AdmmSolver(mesh, cfg)
+    assert len(solver._chunks) >= 6
+    solver.run()
+    assert started == [owner._thread for owner in owners]
+    assert chunks == set(started)
+    del solver
+    gc.collect()
+    for owner in owners:
+        owner.stop()
 
 
 _COLLECTED_ANYWHERE = """
@@ -703,13 +739,12 @@ import gc, sys, threading
 sys.path[:0] = %r
 import meshgen
 from minsec import solver
-main, owned, returned = threading.get_ident(), [], []
+main, made, returned = threading.get_ident(), [], []
 
 class Recording:
     def __init__(self, lu):
         self.lu, self.made = lu, threading.get_ident()
-        if self.made != main:
-            owned.append(1)
+        made.append(1)
 
     def __getattr__(self, name):
         return getattr(self.lu, name)
@@ -724,27 +759,30 @@ mesh, cfg = meshgen.disk(4), solver.SolverConfig(degree=4, fiber_n=16, eps=0.0, 
 gc.set_threshold(50)
 for _ in range(100):
     systems = solver.AdmmSolver(mesh, cfg).systems
+    systems.refactor(1.0, 1.0)
     systems.cycle = systems
 del systems
 gc.collect()
 for owner in solver._OWNERS:
     owner.stop()
-print(len(owned), len(returned))
-held = solver.AdmmSolver(mesh, cfg)         # its owner-made factors live at exit
+print(len(made), len(returned))
+held = solver.AdmmSolver(mesh, cfg).systems     # its factors live at exit
+held.refactor(1.0, 1.0)
 """
 
 
 def test_systems_collected_on_any_thread_release_their_factors():
     # a finalizer runs on whatever thread a garbage collection runs on, also
     # inside a submit to the owner it releases to, where a release that
-    # submitted to a ThreadPoolExecutor deadlocked: systems held only by a
-    # reference cycle, collected often while later ones are set up, give
-    # every owner-made factor (L0_ff, L_2 .. L_7) back to its owner, and a
+    # submitted to the standard library's thread pool deadlocked: systems
+    # held only by a reference cycle, collected often while later ones are
+    # set up and built, give every factor (L0_ff, L_1 .. L_7, Lc and the
+    # bordered A, none made on the main thread) back to its owner, and a
     # process that exits with owner-made factors alive exits cleanly
     run = subprocess.run([sys.executable, "-c", _COLLECTED_ANYWHERE % (sys.path,)],
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout.split() == ["700", "700"]
+    assert run.stdout.split() == ["1000", "1000"]
 
 
 def test_run_leaves_returned_state_alone():
