@@ -43,13 +43,17 @@ OpenBLAS threads busy-wait and take cores from the owners, and a threaded
 BLAS call sums in an order that depends on the thread count.
 
 The sweeps update the state's four sample arrays (``sigma_h``,
-``sigma_v``, ``w_h``, ``w_v``) in place. The duals are overwritten where
-they are; the local step writes the new ``sigma`` into spare buffers that
-the solver owns, and the arrays they replace hold the residual
-differences, then become the next spares. So an array taken from a state
-before an iteration is overwritten by it; copy it to keep it. The state
-returned by :meth:`AdmmSolver.run` shares no memory with the solver's
-spares.
+``sigma_v``, ``w_h``, ``w_v``) in place, and the solver holds no copy of
+them: each chunk's local step writes the new ``sigma`` into chunk arrays,
+the chunk of the state's ``sigma`` holds the residual differences, then
+takes the new ``sigma``. So an array taken from a state before an
+iteration is overwritten by it; copy it to keep it.
+
+An owner that drops a factor gives the memory glibc kept for it back to
+the system (``_TRIM``, glibc's ``malloc_trim``; no call where the C library
+has none). Otherwise the freed pages stay in the owners' malloc arenas,
+where the sweeps' chunk temporaries fragment them, and the process's peak
+grows with every saddle build.
 
 A solve is set by the seven :class:`SolverConfig` fields ``lam``,
 ``radius``, ``degree``, ``fiber_n``, ``eps``, ``max_iters`` and ``mask``.
@@ -230,6 +234,22 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+def _malloc_trim():
+    """glibc's ``malloc_trim(pad)``; where the C library has none (musl, macOS,
+    Windows), a function that does nothing."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+#: ``_TRIM(0)`` hands the free pages of every malloc arena back to the system;
+#: an owner calls it after it drops a factor.
+_TRIM = _malloc_trim()
+
+
 def _with_one_blas_thread(fn):
     """``fn`` run inside ``_ONE_BLAS_THREAD``. The wrapper's code lives in this
     module, which the span tracer checks before it wraps a method."""
@@ -247,7 +267,8 @@ def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     symmetric quasi-definite (:class:`_Bordered`), so that every diagonal pivot is
     nonzero. Free a factor on the thread that made it: scipy's SuperLU frees it
     only there, and on any other thread its memory is never returned; the solver
-    makes its own on its owner threads."""
+    makes its own on its owner threads, which give a dropped factor's pages back
+    to the system (``_TRIM``)."""
     return _spd_lu(matrix, permc_spec)
 
 
@@ -267,17 +288,21 @@ def _factor_frequency(k, L_ii, permc_spec):
 
 
 def _make_into(box, key, make, *args):
-    """Owner job: drops ``box[key]``, then ``make(*args)`` into it. It returns
-    nothing, so that no future holds the factor."""
-    box.pop(key, None)
+    """Owner job: drops ``box[key]`` and, if there was one, gives its memory
+    back (``_TRIM``), then ``make(*args)`` into it. It returns nothing, so that
+    no future holds the factor."""
+    if box.pop(key, None) is not None:
+        _TRIM(0)
     box[key] = make(*args)
 
 
 def _release(owners, boxes):
     """Empties each box on its own owner, so that its factors are freed on the
-    thread that made them. A finalizer: it only posts."""
+    thread that made them, then gives their memory back there (``_TRIM``). A
+    finalizer: it only posts."""
     for owner, box in zip(owners, boxes):
         owner.post(box.clear)
+        owner.post(_TRIM, 0)
 
 
 class _Factor:
@@ -487,19 +512,17 @@ def local_step_sigma(hat_h, hat_v, mu, radius):
     return _local_step_sigma(hat_h, hat_v, mu, radius)
 
 
-def _local_step_sigma(hat_h, hat_v, mu, radius, out=None, density=None):
-    """:func:`local_step_sigma` into the optional pair of buffers ``out``;
-    ``density``, if given, receives the result's metric norm
-    ``max(|hat| - 1/mu, 0)`` per sample."""
-    out_h, out_v = (None, None) if out is None else out
-    v = np.maximum(hat_v, 0.0, out=out_v)
+def _local_step_sigma(hat_h, hat_v, mu, radius, density=None):
+    """:func:`local_step_sigma`; ``density``, if given, receives the result's
+    metric norm ``max(|hat| - 1/mu, 0)`` per sample."""
+    v = np.maximum(hat_v, 0.0)
     norm = _metric_sq(hat_h, v, radius)
     np.sqrt(norm, out=norm)
     shrunk = np.subtract(norm, 1.0 / mu, out=density)
     np.maximum(shrunk, 0.0, out=shrunk)
     # shrunk / |hat| where the sample survives, 0 in the deadzone (shrunk = 0)
     scale = np.divide(shrunk, np.maximum(norm, 1.0 / mu, out=norm), out=norm)
-    return np.multiply(np.expand_dims(scale, 1), hat_h, out=out_h), np.multiply(scale, v, out=v)
+    return np.expand_dims(scale, 1) * hat_h, np.multiply(scale, v, out=v)
 
 
 def local_step_gamma(gamma_hat, nu, lam, mask_cols=None):
@@ -813,8 +836,6 @@ class AdmmSolver:
         # every frequency, and each face's zero-frequency horizontal coefficient
         self._rhs_corner = np.empty((n_f, 3, K + 1), dtype=complex)
         self._face_h0 = np.empty((n_f, 2))
-        # spare sigma buffers of the in-place sweep, swapped with the state's
-        self._spare_sigma = (np.empty((3 * n_f, 2, n)), np.empty((3 * n_f, n)))
         # boundary circulation of the reconstructed horizontal part equals
         # minus the winding of the boundary data (the interior-edge block
         # rotates gradients by +90 degrees, so positively wound data drives
@@ -872,13 +893,14 @@ class AdmmSolver:
         CV[:, :, 0] += TAU_BAR_VERTICAL
         return _inverse(CH, n), _inverse(CV, n).reshape(-1, n)
 
-    def _sweep_chunk(self, faces, state, coeffs, new):
+    def _sweep_chunk(self, faces, state, coeffs):
         """Post-solve sweep of one chunk; returns its shares of the squared
         primal and dual sample residuals and of the sample mass.
 
         ``hat = R - w`` is written over the duals, the local step writes the
-        new ``sigma`` into ``new`` and ``w = sigma - hat`` goes over ``hat``.
-        The old ``sigma`` takes ``sigma - sigma_prev``, then ``sigma - R``.
+        new ``sigma`` into chunk arrays and ``w = sigma - hat`` goes over
+        ``hat``. The state's ``sigma`` takes ``sigma - sigma_prev``, then
+        ``sigma - R``, then the new ``sigma``.
         """
         corners = _corners(faces)
         radius, measure = self.config.radius, self._corner_measure[corners]
@@ -886,18 +908,20 @@ class AdmmSolver:
         hat_h, hat_v = state.w_h[corners], state.w_v[corners]
         np.subtract(Rh[:, None], _by_face(hat_h), out=_by_face(hat_h))
         np.subtract(Rv, hat_v, out=hat_v)
-        new_h, new_v = new[0][corners], new[1][corners]
         density = np.empty(hat_v.shape)
-        _local_step_sigma(hat_h, hat_v, state.mu, radius, out=(new_h, new_v), density=density)
+        new_h, new_v = _local_step_sigma(hat_h, hat_v, state.mu, radius, density=density)
         np.subtract(new_h, hat_h, out=hat_h)
         np.subtract(new_v, hat_v, out=hat_v)
-        prev_h, prev_v = state.sigma_h[corners], state.sigma_v[corners]
-        np.subtract(new_h, prev_h, out=prev_h)
-        np.subtract(new_v, prev_v, out=prev_v)
-        dual = _measure_sq(measure, prev_h, prev_v, radius)
-        np.subtract(_by_face(new_h), Rh[:, None], out=_by_face(prev_h))
+        sigma_h, sigma_v = state.sigma_h[corners], state.sigma_v[corners]
+        np.subtract(new_h, sigma_h, out=sigma_h)
+        np.subtract(new_v, sigma_v, out=sigma_v)
+        dual = _measure_sq(measure, sigma_h, sigma_v, radius)
+        np.subtract(_by_face(new_h), Rh[:, None], out=_by_face(sigma_h))
         np.subtract(new_v, Rv, out=Rv)
-        return _measure_sq(measure, prev_h, Rv, radius), dual, _sample_mass(measure, density)
+        primal = _measure_sq(measure, sigma_h, Rv, radius)
+        sigma_h[...] = new_h
+        sigma_v[...] = new_v
+        return primal, dual, _sample_mass(measure, density)
 
     # -- pieces of one iteration ----------------------------------------
 
@@ -958,18 +982,15 @@ class AdmmSolver:
 
         The sample work runs in the two face-chunk sweeps (:meth:`_rhs_chunk`
         inside :meth:`global_step`, then :meth:`_sweep_chunk`); their partial
-        sums are added in chunk order. The old ``sigma`` buffers end up
-        holding ``sigma - R`` and become the spares.
+        sums are added in chunk order. The sample arrays are updated where
+        they are; no spare copy of them exists.
         """
         t0 = time.perf_counter()
         self.global_step(state)
         t1 = time.perf_counter()
-        new = self._spare_sigma
-        parts = self._map(self._sweep_chunk, state, self._coefficients(state), new)
+        parts = self._map(self._sweep_chunk, state, self._coefficients(state))
         r_p_sq, r_d_sq, mass_sigma = np.sum(parts, axis=0)
         r_p_mu, r_d_mu = np.sqrt(r_p_sq), np.sqrt(r_d_sq)
-        self._spare_sigma = (state.sigma_h, state.sigma_v)
-        state.sigma_h, state.sigma_v = new
 
         gt = self.gamma_target(state)
         prev_g = state.gamma

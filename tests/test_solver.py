@@ -706,6 +706,41 @@ def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     assert len({r["made"] for r in records}) == len(owners)
 
 
+def test_dropped_factors_returned_to_the_system(monkeypatch):
+    # an owner that drops a factor gives its memory back to the system: one
+    # trim per replaced bordered A, once that factor is freed, and one per
+    # owner once the solver is collected, after that owner's factors are
+    # freed; every trim runs on an owner, none on the main thread
+    gc.collect()                    # earlier solvers' releases run before the patch
+    solver_module._results([owner.submit(int) for owner in solver_module._OWNERS])
+    mesh, fiber_n, chunk_faces = CHUNKED[0]
+    monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
+    owners = [solver_module._Owner() for _ in range(3)]
+    monkeypatch.setattr(solver_module, "_OWNERS", owners)
+    records, trims = _record_factors(monkeypatch), []
+    monkeypatch.setattr(solver_module, "_TRIM", lambda pad: trims.append((
+        threading.get_ident(), {i for i, r in enumerate(records) if r["freed"] is not None})))
+    solver = AdmmSolver(mesh, SolverConfig(degree=4, fiber_n=fiber_n, eps=0.0, max_iters=12))
+    builds = solver.run().report.saddle_builds
+    assert builds >= 2
+    threads = [owner._thread.ident for owner in owners]
+    replaced = [i for i, r in enumerate(records) if r["freed"] is not None]
+    during = list(trims)
+    del solver
+    gc.collect()
+    for owner in owners:                    # an owner's release runs before it stops
+        owner.stop()
+    assert len(replaced) == builds - 1
+    assert {records[i]["made"] for i in replaced} == {threads[1]}       # each a bordered A
+    assert [freed for _, freed in during] == [set(replaced[:j + 1]) for j in range(builds - 1)]
+    at_release = trims[len(during):]
+    assert sorted(thread for thread, _ in at_release) == sorted(threads)
+    for thread, freed in at_release:
+        assert freed >= {i for i, r in enumerate(records) if r["made"] == thread}
+    assert {thread for thread, _ in trims} <= set(threads)
+    assert threading.get_ident() not in {thread for thread, _ in trims}
+
+
 def test_multi_chunk_solve_starts_only_the_owners(monkeypatch):
     # the owners are the only worker threads: a multi-chunk solve runs its
     # chunks on them and starts no other thread, and the process holds at
@@ -786,8 +821,9 @@ def test_systems_collected_on_any_thread_release_their_factors():
 
 
 def test_run_leaves_returned_state_alone():
-    # the sweep writes into solver-owned spare buffers; none may end up in
-    # a returned state, and a later run must not touch an earlier state
+    # the sweep updates the state's sample arrays where they are and keeps
+    # no spare copy of them: the solver holds no array of the sample state's
+    # size, and a later run must not touch an earlier state
     solver = _solver(meshgen.disk(4), degree=4, eps=0.0, max_iters=20)
     first = solver.run().state
     names = ("sigma_h", "sigma_v", "w_h", "w_v")
@@ -803,6 +839,7 @@ def test_run_leaves_returned_state_alone():
              if isinstance(x, np.ndarray)]
     for x, y in itertools.product(owned, samples):
         assert not np.shares_memory(x, y)
+    assert [x.shape for x in owned if x.size == first.sigma_v.size] == []
 
 
 def _poison_reconstruct(solver_cls, monkeypatch, at_iteration):
