@@ -236,13 +236,20 @@ class TransportAtlas:
         Angle defect divided by vertex area. Interior vertices use the
         flat reference 2*pi; boundary vertices use pi, so flat-disk
         boundaries carry zero curvature.
+    vertex_angle : (n_v,) ndarray or None
+        On a planar mesh, the angle of each vertex frame's first axis in
+        the frame of face 0; ``None`` on any other mesh. There the transport
+        is a pure gauge: ``transport[f, j]`` is ``exp(i (vertex_angle[v] -
+        beta_f))``, ``v`` the vertex at corner j and ``beta_f`` the angle
+        of face f's first axis in the same frame.
     """
 
-    def __init__(self, mesh, vertex_frame, face_frame, transport):
+    def __init__(self, mesh, vertex_frame, face_frame, transport, vertex_angle=None):
         self.mesh = mesh
         self.vertex_frame = vertex_frame
         self.face_frame = face_frame
         self.transport = transport
+        self.vertex_angle = vertex_angle
         self._curvature()
 
     def _curvature(self):
@@ -263,6 +270,12 @@ def build_transport(mesh, frame_rotation=None):
     ``(u, v)`` are the face-frame coordinates of the vertex frame's first
     axis turned by the principal (minimal) rotation taking the vertex
     normal onto the face normal.
+
+    A mesh is planar when every face normal is bitwise equal; then every
+    such rotation is the identity up to rounding, and the atlas's
+    ``vertex_angle`` holds the vertex frames' angles in one frame of the
+    plane. A tilted or rotated plane whose normals differ in rounding is
+    not planar here.
 
     Parameters
     ----------
@@ -321,5 +334,10 @@ def build_transport(mesh, frame_rotation=None):
     Ft = np.repeat(face_frame, 3, axis=0)
     coeff = rowdot(turned, Ft[:, 0]) + 1j * rowdot(turned, Ft[:, 1])
     coeff /= np.abs(coeff)
-    return TransportAtlas(mesh, vertex_frame, face_frame, coeff.reshape(len(t), 3))
+    vertex_angle = None
+    if np.all(mesh.face_normal == mesh.face_normal[0]):
+        in_plane = vertex_e1 @ face_frame[0].T
+        vertex_angle = np.arctan2(in_plane[:, 1], in_plane[:, 0])
+    return TransportAtlas(mesh, vertex_frame, face_frame, coeff.reshape(len(t), 3),
+                          vertex_angle)
 

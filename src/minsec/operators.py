@@ -196,6 +196,8 @@ class OperatorSet:
     transport_d: np.ndarray = None        # (n_f, 3) degree-d transport coefficients
     transport_pow: np.ndarray = None      # (n_f, 3, k_max + 1) transport_d ** -k
     corner_incidence: sp.csr_matrix = None  # (n_v, 3 n_f) corner 3*f + j -> its vertex
+    gauge_angle: np.ndarray = None        # (n_v,) degree * atlas.vertex_angle; None if not planar
+    scalar_parts: tuple = None            # stiffness and mass values on fem.pattern, unit transport
 
     @classmethod
     def assemble(cls, mesh, atlas, degree, radius, k_max):
@@ -206,6 +208,11 @@ class OperatorSet:
         ops.transport_d = atlas.transport ** degree
         ks = np.arange(k_max + 1)
         ops.transport_pow = ops.transport_d[:, :, None] ** -ks
+        if atlas.vertex_angle is not None:
+            ops.gauge_angle = degree * atlas.vertex_angle
+        fem, nnz = ops.fem, ops.fem.pattern.nnz
+        ops.scalar_parts = tuple(np.bincount(fem.slot.ravel(), elem.ravel(), nnz)
+                                 for elem in (fem.corner_stiffness, fem.corner_mass))
         n_c = mesh.triangles.size
         ops.corner_incidence = sp.csr_matrix(
             (np.ones(n_c), (mesh.triangles.ravel(), np.arange(n_c))),
@@ -224,6 +231,21 @@ class OperatorSet:
 
     def laplacian(self, k):
         return assemble_frequency_laplacian(self.fem, self.transport_k(k), k, self.radius)
+
+    def real_laplacian(self, k):
+        """``R_k = S + (k/r)^2 M``: the stiffness and vertical mass with unit
+        transport, on the vertex pattern. On a planar mesh ``L_k = G_k R_k G_k^H``
+        with ``G_k = diag(gauge(k))``; ``R_0`` is ``L_0``, on any mesh."""
+        S, M = self.scalar_parts
+        P = self.fem.pattern
+        return sp.csc_matrix((S + (k * k / (self.radius * self.radius)) * M, P.indices,
+                              P.indptr), shape=P.shape)
+
+    def gauge(self, k):
+        """Diagonal of ``G_k``, ``exp(i k d alpha_v)`` per vertex, on a planar mesh
+        (``gauge_angle`` is set): the face angles of the transport cancel in
+        ``L_k``, which turns every vertex frame into the frame of face 0."""
+        return np.exp(1j * k * self.gauge_angle)
 
     # -- per-face helpers used every iteration ---------------------------
 

@@ -8,7 +8,11 @@ the transform pair :func:`bundle._forward` and :func:`bundle._inverse`.
 The per-frequency systems and the conforming frequency-zero block are
 factored when the solver is built (the first frequency's factor also orders
 the interior vertices for the others), the edge-midpoint Laplacian at the
-first saddle build, all by :func:`spd_lu`. The penalty-free part of the
+first saddle build, all by :func:`spd_lu`. On a planar mesh the transport
+is a vertex gauge, ``L_k = G_k R_k G_k^H`` with ``R_k`` real
+(:meth:`operators.OperatorSet.gauge`), so each frequency factor is real and
+a solve takes the real and imaginary parts as two columns; on any other
+mesh the frequency factors are complex. The penalty-free part of the
 dense boundary Schur complement comes in closed form from the discrete
 Hodge decomposition of face fields. Every penalty change makes one sparse
 factor: the penalized edge-midpoint block bordered by the boundary rows, a
@@ -49,11 +53,13 @@ the chunk of the state's ``sigma`` holds the residual differences, then
 takes the new ``sigma``. So an array taken from a state before an
 iteration is overwritten by it; copy it to keep it.
 
-An owner that drops a factor gives the memory glibc kept for it back to
-the system (``_TRIM``, glibc's ``malloc_trim``; no call where the C library
-has none). Otherwise the freed pages stay in the owners' malloc arenas,
-where the sweeps' chunk temporaries fragment them, and the process's peak
-grows with every saddle build.
+When a solver is released, each owner frees its factors and gives the
+memory glibc kept for them back to the system (``_TRIM``, glibc's
+``malloc_trim``; no call where the C library has none). Otherwise the freed
+pages stay in the owners' malloc arenas, where the sweeps' chunk
+temporaries fragment them. A saddle build drops the last bordered factor
+without a trim: the next sweep and factor would fault the released pages
+straight back in.
 
 A solve is set by the seven :class:`SolverConfig` fields ``lam``,
 ``radius``, ``degree``, ``fiber_n``, ``eps``, ``max_iters`` and ``mask``.
@@ -246,7 +252,7 @@ def _malloc_trim():
 
 
 #: ``_TRIM(0)`` hands the free pages of every malloc arena back to the system;
-#: an owner calls it after it drops a factor.
+#: an owner calls it once it has freed a released solver's factors.
 _TRIM = _malloc_trim()
 
 
@@ -267,8 +273,8 @@ def spd_lu(matrix, permc_spec="MMD_AT_PLUS_A"):
     symmetric quasi-definite (:class:`_Bordered`), so that every diagonal pivot is
     nonzero. Free a factor on the thread that made it: scipy's SuperLU frees it
     only there, and on any other thread its memory is never returned; the solver
-    makes its own on its owner threads, which give a dropped factor's pages back
-    to the system (``_TRIM``)."""
+    makes its own on its owner threads, which give their pages back to the
+    system when the solver is released (``_TRIM``)."""
     return _spd_lu(matrix, permc_spec)
 
 
@@ -279,8 +285,8 @@ def _spd_lu(matrix, permc_spec):
 
 
 def _factor_frequency(k, L_ii, permc_spec):
-    """:func:`spd_lu` of the interior block of ``L_k`` (``k = 0``: ``L0_ff``);
-    a failure names ``k``."""
+    """:func:`spd_lu` of the interior block of frequency ``k``'s system (``k =
+    0``: ``L0_ff``); a failure names ``k``."""
     try:
         return _spd_lu(L_ii, permc_spec)
     except RuntimeError as exc:
@@ -288,11 +294,9 @@ def _factor_frequency(k, L_ii, permc_spec):
 
 
 def _make_into(box, key, make, *args):
-    """Owner job: drops ``box[key]`` and, if there was one, gives its memory
-    back (``_TRIM``), then ``make(*args)`` into it. It returns nothing, so that
-    no future holds the factor."""
-    if box.pop(key, None) is not None:
-        _TRIM(0)
+    """Owner job: drops ``box[key]``, then ``make(*args)`` into it. It returns
+    nothing, so that no future holds the factor."""
+    box.pop(key, None)
     box[key] = make(*args)
 
 
@@ -551,9 +555,13 @@ class GlobalSystems:
 
     The per-frequency systems are independent of the penalties and are
     factored once, all in one fill-reducing ordering of the interior
-    vertices (every ``L_k`` has the vertex pattern): ``L_1``'s interior
+    vertices (every system has the vertex pattern): the ``k = 1`` interior
     block under MMD, whose ordering is read off that held factor, then the
-    other blocks, gathered in that ordering out of each ``L_k``'s data. The
+    other blocks, gathered in that ordering out of each system's data. On a
+    planar mesh the system of frequency ``k`` is the real ``R_k`` of
+    ``L_k = G_k R_k G_k^H`` (``G_k`` the diagonal vertex gauge), and
+    :meth:`solve_frequency` solves ``R_k y = G_k^H (rhs - L_ib f_b)`` for the
+    real and imaginary parts at once; on any other mesh it is ``L_k``. The
     frequency-zero saddle system couples the conforming and edge-midpoint
     blocks only through boundary rows; it is solved by a dense Schur
     complement over the boundary multiplier, with the conforming block
@@ -585,8 +593,9 @@ class GlobalSystems:
     serves every ``A`` solve; ``eps`` (:meth:`_border_eps`) bounds that
     Gram's diagonal, so it keeps the trailing block negative definite where
     ``C2`` is rank-deficient (as on a fan disk or a rectangle) and
-    adds only rounding at the scale of ``S0``. The sparse factors are ``L_k``
-    (k >= 1) and ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the
+    adds only rounding at the scale of ``S0``. The sparse factors are the
+    frequency systems (k >= 1; real on a planar mesh, complex elsewhere)
+    and ``L0_ff`` (its own MMD order) from setup, ``Lc`` from the
     first build, and the bordered ``A``, made at every build beside the first
     ``Lc``. Each is made, held and freed by an owner thread (:meth:`_make`) and
     read through :meth:`_lu`, :attr:`_lu_lc` and :attr:`_lu_a`; the calling
@@ -624,33 +633,46 @@ class GlobalSystems:
         self._owners = owners = _OWNERS
         self._boxes = [{} for _ in owners]
         weakref.finalize(self, _release, owners, self._boxes)
-        self._L0 = L0 = ops.laplacian(0).real.tocsc()
+        self._L0 = L0 = ops.real_laplacian(0)
         jobs = [self._make(0, 0, _factor_frequency, 0, L0[self.free0][:, self.free0],
                            "MMD_AT_PLUS_A")]
 
-        # every L_k has the vertex pattern: L_1's MMD factor, held, orders the others
+        # on a planar mesh each frequency is factored as the real R_k of
+        # L_k = G_k R_k G_k^H (operators.OperatorSet.gauge), else as L_k
+        planar = ops.gauge_angle is not None
+        system = ops.real_laplacian if planar else ops.laplacian
+        # every system has the vertex pattern: the k = 1 MMD factor, held, orders the others
         natural = self.interior
-        L_1 = ops.laplacian(1)[natural]
+        L_1 = system(1)[natural]
         self._make(1, 1, _factor_frequency, 1, L_1[:, natural], "MMD_AT_PLUS_A").result()
         self.interior = natural[np.argsort(self._lu(1).perm_c)]
         rank = np.argsort(np.concatenate([self.interior, self.b_vertices]))
         ends = np.sort(rank[mesh.edges[mesh.interior_edges]], axis=1)
         self._edge_order = np.lexsort(ends.T[::-1])         # by lower, then higher rank
 
-        # L_k blocks are gathered from its data at 1-based positions `pos`,
-        # sorted once so that no factorization sorts the shared indices, and
-        # each is factored on owner k mod n as soon as it is gathered;
-        # _freq[k] is (L_ib, the interior vertices in the factor's numbering)
+        # the blocks are gathered from each system's data at 1-based positions
+        # `pos`, sorted once so that no factorization sorts the shared indices,
+        # and each is factored on owner k mod n as soon as it is gathered;
+        # _freq[k] is (the boundary columns L_ib or R_ib, the interior vertices
+        # in the factor's numbering, and on a planar mesh G_k's diagonal there
+        # and on the boundary, else None)
         P = ops.fem.pattern
         pos = sp.csc_matrix((np.arange(1, P.nnz + 1), P.indices, P.indptr),
                             shape=P.shape)[self.interior].sorted_indices()
         gather = [(B.data - 1, B.indices, B.indptr, B.shape)
                   for B in (pos[:, self.interior], pos[:, self.b_vertices])]
-        self._freq = {1: (L_1[:, self.b_vertices], natural)}
+
+        def gauge(k, rows):
+            if not planar:
+                return None
+            g = ops.gauge(k)
+            return g[rows], g[self.b_vertices]
+
+        self._freq = {1: (L_1[:, self.b_vertices], natural, gauge(1, natural))}
         for k in range(2, fd.k_max + 1):
-            data = ops.laplacian(k).data
+            data = system(k).data
             L_ii, L_ib = (sp.csc_matrix((data[d], i, p), shape=n) for d, i, p, n in gather)
-            self._freq[k] = (L_ib, self.interior)
+            self._freq[k] = (L_ib, self.interior, gauge(k, self.interior))
             jobs.append(self._make(k, k, _factor_frequency, k, L_ii, "NATURAL"))
 
         B = ops.boundary
@@ -759,12 +781,20 @@ class GlobalSystems:
         return (self.ops.cr.mass * self._lu_lc.solve(r).T).T
 
     def solve_frequency(self, k, rhs):
-        """Solve the frequency-``k`` system with pinned boundary values."""
-        L_ib, rows = self._freq[k]
+        """Solve the frequency-``k`` system with pinned boundary values. On a
+        planar mesh ``L_k = G_k R_k G_k^H``: ``R_k y = G_k^H (rhs - L_ib f_b)``
+        is one real solve with two columns, and the interior values are ``G_k y``."""
+        L_ib, rows, gauge = self._freq[k]
         fb = self.bd.coefficient(k)
         out = np.zeros(rhs.shape[0], dtype=complex)
         out[self.b_vertices] = fb
-        out[rows] = self._lu(k).solve(rhs[rows] - L_ib @ fb)
+        if gauge is None:
+            out[rows] = self._lu(k).solve(rhs[rows] - L_ib @ fb)
+            return out
+        g_i, g_b = gauge
+        r = np.conj(g_i) * rhs[rows] - L_ib @ (np.conj(g_b) * fb)
+        y = self._lu(k).solve(np.array([r.real, r.imag]).T)
+        out[rows] = g_i * (y[:, 0] + 1j * y[:, 1])
         return out
 
     def solve_zero(self, rhs1, rhs2, g0):
@@ -863,7 +893,6 @@ class AdmmSolver:
         face_h *= self._face_third[faces, None, None]
         self._face_h0[faces] = face_h[:, :, 0].real
         Cv = _by_face(_forward(state.sigma_v[corners] + state.w_v[corners], K))
-        Cv[:, :, 0] -= TAU_BAR_VERTICAL
         # hat-gradient contraction, then the corner mass area/12 (I + 1 1^T)
         grad, out = fem.hat_gradient[faces], self._rhs_corner[faces]     # out: (n, 3, K+1)
         np.multiply(grad[:, 0, :, None], face_h[:, None, 0], out=out)

@@ -22,6 +22,10 @@ from minsec.solver import SolverConfig, run_admm  # noqa: E402
 # (name, mesh, degree, fiber_n, iterations, saddle builds, final objective)
 LADDER = [
     ("disk(8) d4/n16", lambda: meshgen.disk(8), 4, 16, 211, 44, 8.9033289942165),
+    # the same disk turned out of its plane: complex frequency factors, where
+    # disk(8) has real ones, and disk(8)'s figures
+    ("rotated disk(8) d4/n16", lambda: meshgen.rotated(meshgen.disk(8)), 4, 16, 211, 44,
+     8.9033289942165),
     ("spherical_cap(8) d2/n64", lambda: meshgen.spherical_cap(8), 2, 64, 117, 44,
      10.382325664196436),
     ("annulus(6) d4/n16", lambda: meshgen.annulus(6), 4, 16, 150, 13, 23.146131364456274),

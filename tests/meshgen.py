@@ -152,6 +152,16 @@ def side_by_side(*meshes, gap=0.5):
     return TriMesh(np.vstack(verts), np.vstack(tris))
 
 
+def rotated(mesh, axis=(1.0, 2.0, 3.0), angle=0.7):
+    """``mesh`` turned rigidly by ``angle`` about ``axis``. A tilted plane's
+    face normals differ in rounding, so a rotated planar mesh is not planar
+    to :func:`minsec.mesh.build_transport`."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K @ K
+    return TriMesh(mesh.vertices @ R.T, mesh.triangles)
+
+
 def icosahedron_open():
     """Unit icosahedron with one face removed (so it has a boundary)."""
     t = (1 + np.sqrt(5)) / 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
 import meshgen
 from minsec.mesh import build_transport
@@ -149,6 +151,57 @@ def test_pattern_assembly_matches_coo_oracle(mesh):
     L = ops.laplacian(1)
     L.indices[:] = 0
     assert np.array_equal(ops.laplacian(K).indices, fem.pattern.indices)
+
+
+PLANAR = [meshgen.disk(5), meshgen.annulus(4), meshgen.fan_disk(12), meshgen.rectangle(6, 5)]
+PLANAR_IDS = ["disk", "annulus", "fan", "rectangle"]
+
+
+def _frame_angle(axis, frame):
+    """Angle of each unit 3-vector ``axis`` in the orthonormal pair ``frame``."""
+    xy = axis @ frame.T
+    return np.arctan2(xy[:, 1], xy[:, 0])
+
+
+@pytest.mark.parametrize("mesh", PLANAR, ids=PLANAR_IDS)
+def test_planar_transport_is_a_vertex_gauge(mesh):
+    # with every face normal equal, the Rodrigues turns are the identity and
+    # each corner transport is exp(i(alpha_v - beta_f)), both frame angles
+    # taken in face 0's frame; turned out of its plane, the mesh is not planar
+    atlas = build_transport(mesh)
+    alpha = _frame_angle(atlas.vertex_frame[:, 0], atlas.face_frame[0])
+    beta = _frame_angle(atlas.face_frame[:, 0], atlas.face_frame[0])
+    assert np.abs(np.exp(1j * atlas.vertex_angle) - np.exp(1j * alpha)).max() <= 1e-15
+    want = np.exp(1j * (alpha[mesh.triangles] - beta[:, None]))
+    assert np.abs(atlas.transport - want).max() <= 1e-14
+    for curved in (meshgen.rotated(mesh), meshgen.spherical_cap(4)):
+        atlas = build_transport(curved)
+        assert atlas.vertex_angle is None
+        assert OperatorSet.assemble(curved, atlas, 4, 1.0, 1).gauge_angle is None
+
+
+@pytest.mark.parametrize("mesh", PLANAR, ids=PLANAR_IDS)
+def test_gauge_turns_real_systems_into_frequency_laplacians(mesh):
+    # L_k = G_k R_k G_k^H, G_k = diag(exp(i k d alpha_v)) and R_k the real
+    # stiffness plus (k/r)^2 mass on the vertex pattern, for every k <= K
+    K, radius, degree = 31, 0.7, 4
+    atlas = build_transport(mesh)
+    ops = OperatorSet.assemble(mesh, atlas, degree=degree, radius=radius, k_max=K)
+    np.testing.assert_array_equal(ops.gauge_angle, degree * atlas.vertex_angle)
+    for k in range(K + 1):
+        L, R = ops.laplacian(k), ops.real_laplacian(k)
+        assert R.dtype == np.float64
+        assert np.array_equal(R.indptr, ops.fem.pattern.indptr)
+        assert np.array_equal(R.indices, ops.fem.pattern.indices)
+        G = sp.diags(ops.gauge(k))
+        assert sparse_norm(G @ R @ G.conj() - L) <= 1e-13 * sparse_norm(L)
+    # R_k is L_k with unit transport; R_0 is L_0 on any mesh
+    ones = np.ones(mesh.triangles.shape)
+    oracle = coo_frequency_laplacian(ops.fem, ones, K, radius)
+    assert np.abs(ops.real_laplacian(K).data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
+    cap = meshgen.spherical_cap(4)
+    ops = OperatorSet.assemble(cap, build_transport(cap), degree=degree, radius=radius, k_max=1)
+    assert np.array_equal(ops.real_laplacian(0).toarray(), ops.laplacian(0).real.toarray())
 
 
 def test_radius_scaling_quarters_vertical_mass():

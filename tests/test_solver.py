@@ -419,10 +419,11 @@ def test_saddle_builds_solve_one_column_per_loop(monkeypatch):
                                   meshgen.fan_disk(12)],
                          ids=["disk", "annulus", "cap", "fan"])
 def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
-    # every L_k is factored once, in the one interior ordering: L_1's block
-    # under MMD, whose ordering the others are gathered in from their data
-    # and factored under NATURAL (on the owner threads, in any order); none
-    # fills in more than under its own MMD
+    # every frequency system is factored once, in the one interior ordering:
+    # the k = 1 block under MMD, whose ordering the others are gathered in
+    # from their data and factored under NATURAL (on the owner threads, in
+    # any order); none fills in more than under its own MMD. The system is
+    # the real R_k of L_k = G_k R_k G_k^H on a planar mesh, else L_k
     factored = {}
     real = solver_module._factor_frequency
 
@@ -437,16 +438,64 @@ def test_frequency_blocks_gathered_in_one_ordering(mesh, monkeypatch):
     assert np.array_equal(np.sort(systems.interior), natural)
     assert sorted(factored) == list(range(K + 1))        # 0: L0_ff
     assert [factored[k][1] for k in range(1, K + 1)] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (K - 1)
+    planar = np.all(mesh.vertices[:, 2] == 0.0)
+    system = ops.real_laplacian if planar else ops.laplacian
     for k in range(1, K + 1):
-        L, L_ii = ops.laplacian(k), factored[k][0]
-        L_ib, rows = systems._freq[k]
+        L, L_ii = system(k), factored[k][0]
+        L_ib, rows, gauge = systems._freq[k]
         lu = systems._lu(k)
         assert np.array_equal(rows, natural if k == 1 else systems.interior)
+        assert np.iscomplexobj(L_ii.data) != planar and np.iscomplexobj(L_ib.data) != planar
+        if planar:
+            assert np.array_equal(gauge[0], ops.gauge(k)[rows])
+            assert np.array_equal(gauge[1], ops.gauge(k)[cols])
+        else:
+            assert gauge is None
         for block, want in ((L_ii, L[rows][:, rows]), (L_ib, L[rows][:, cols])):
             assert block.shape == want.shape and block.nnz == want.nnz
             assert np.array_equal(block.toarray(), want.toarray())
         mmd = spd_lu(L[natural][:, natural])
         assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+
+@pytest.mark.parametrize("mesh", [meshgen.disk(5), meshgen.annulus(4), meshgen.fan_disk(12),
+                                  meshgen.rectangle(6, 5)],
+                         ids=["disk", "annulus", "fan", "rectangle"])
+def test_real_frequency_solves_match_complex_oracle(mesh):
+    # on a planar mesh each frequency is solved through the real R_k in the
+    # vertex gauge; the result is the complex solve of L_k's interior block
+    solver = _solver(mesh, degree=4)
+    systems, ops, K = solver.systems, solver.ops, solver.fd.k_max
+    inner, cols = np.nonzero(~mesh.is_boundary_vertex)[0], systems.b_vertices
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal(len(mesh.vertices)) + 1j * rng.standard_normal(len(mesh.vertices))
+    for k in range(1, K + 1):
+        assert systems._freq[k][2] is not None
+        L, fb = ops.laplacian(k), solver.bd.coefficient(k)
+        want = np.zeros(len(mesh.vertices), dtype=complex)
+        want[cols] = fb
+        want[inner] = spd_lu(L[inner][:, inner]).solve(rhs[inner] - L[inner][:, cols] @ fb)
+        got = systems.solve_frequency(k, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_rotated_disk_factors_complex_and_solves_the_same(monkeypatch):
+    # a rigid rotation out of the plane leaves the problem the same but not
+    # planar to the solver: the rotated disk factors every frequency as the
+    # complex L_k, the disk as the real R_k, and both solve alike
+    records = _record_factors(monkeypatch)
+    cfg = SolverConfig(degree=4, fiber_n=16)
+    reports, complex_factors = [], []
+    for mesh in (meshgen.disk(5), meshgen.rotated(meshgen.disk(5))):
+        del records[:]
+        solver = AdmmSolver(mesh, cfg)
+        reports.append(solver.run().report)
+        complex_factors.append(sum(r["complex"] for r in records))
+    flat, turned = reports
+    assert complex_factors == [0, solver.fd.k_max]
+    assert (turned.iterations, turned.saddle_builds) == (flat.iterations, flat.saddle_builds)
+    assert turned.objective_history[-1] == pytest.approx(flat.objective_history[-1], rel=1e-10)
+    assert max(flat.kkt_residual, turned.kkt_residual) <= 1e-9
 
 
 def test_owner_factor_failure_names_frequency(monkeypatch):
@@ -680,7 +729,8 @@ def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     # owners than cores, switching threads often), and every build sends its
     # bordered A, the first one Lc too; the owner of A drops the old one
     # before it makes the next, and the owners free the rest once the solver
-    # is collected. The main thread makes no factor
+    # is collected. The main thread makes no factor. The disk is planar, so
+    # every factor is real (the frequency blocks are R_k)
     mesh, fiber_n, chunk_faces = CHUNKED[0]
     monkeypatch.setattr(solver_module, "_CHUNK_SAMPLES", 3 * fiber_n * chunk_faces)
     owners = [solver_module._Owner() for _ in range(3)]
@@ -702,15 +752,16 @@ def test_sparse_factors_freed_on_the_thread_that_made_them(monkeypatch):
     assert len(records) == K + 2 + report.saddle_builds      # L_k, L0_ff, Lc and each A
     assert all(r["freed"] == r["made"] for r in records), records
     assert threading.get_ident() not in {r["made"] for r in records}
-    assert sum(r["complex"] for r in records) == K
+    assert sum(r["complex"] for r in records) == 0
     assert len({r["made"] for r in records}) == len(owners)
 
 
 def test_dropped_factors_returned_to_the_system(monkeypatch):
-    # an owner that drops a factor gives its memory back to the system: one
-    # trim per replaced bordered A, once that factor is freed, and one per
-    # owner once the solver is collected, after that owner's factors are
-    # freed; every trim runs on an owner, none on the main thread
+    # owners give the memory of dropped factors back to the system once the
+    # solver is collected: no trim while it is set up and runs (a build drops
+    # the old bordered A without one), then one per owner, after that
+    # owner's factors are freed; every trim runs on an owner, none on the
+    # main thread
     gc.collect()                    # earlier solvers' releases run before the patch
     solver_module._results([owner.submit(int) for owner in solver_module._OWNERS])
     mesh, fiber_n, chunk_faces = CHUNKED[0]
@@ -725,19 +776,17 @@ def test_dropped_factors_returned_to_the_system(monkeypatch):
     assert builds >= 2
     threads = [owner._thread.ident for owner in owners]
     replaced = [i for i, r in enumerate(records) if r["freed"] is not None]
-    during = list(trims)
+    solver_module._results([owner.submit(int) for owner in owners])
+    assert trims == []
     del solver
     gc.collect()
     for owner in owners:                    # an owner's release runs before it stops
         owner.stop()
     assert len(replaced) == builds - 1
     assert {records[i]["made"] for i in replaced} == {threads[1]}       # each a bordered A
-    assert [freed for _, freed in during] == [set(replaced[:j + 1]) for j in range(builds - 1)]
-    at_release = trims[len(during):]
-    assert sorted(thread for thread, _ in at_release) == sorted(threads)
-    for thread, freed in at_release:
+    assert sorted(thread for thread, _ in trims) == sorted(threads)
+    for thread, freed in trims:
         assert freed >= {i for i, r in enumerate(records) if r["made"] == thread}
-    assert {thread for thread, _ in trims} <= set(threads)
     assert threading.get_ident() not in {thread for thread, _ in trims}
 
 
